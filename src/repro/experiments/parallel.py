@@ -33,6 +33,7 @@ hash the simulator source: after changing model *code*, clear the cache
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import json
 import os
@@ -150,10 +151,13 @@ def _execute_spec(spec: RunSpec) -> tuple:
     try:
         result = run_protocol(spec.protocol, spec.seeded_config())
     except Exception:  # noqa: BLE001 - annotate *any* model failure
-        return _error_result(spec, traceback.format_exc()), (
-            time.perf_counter() - start
-        )
-    return result, time.perf_counter() - start
+        result = _error_result(spec, traceback.format_exc())
+    elapsed = time.perf_counter() - start
+    # A scenario is a web of reference cycles that outlives the run
+    # until the cyclic collector happens by; a long-lived pool worker
+    # would otherwise carry several dead scenarios at once.
+    gc.collect()
+    return result, elapsed
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,18 @@ Two scale paths keep large meshes tractable without changing results:
   draws and threshold decisions as one numpy batch
   (:mod:`repro.phy.vectorized`), bit-identical to the per-receiver
   loop.  The backend is chosen per channel -- never per sender, since
-  mixing would desynchronize the cloned RNG stream from the scalar one.
+  mixing would desynchronize the cloned RNG stream from the scalar one
+  -- by the mean audible-list length (:data:`VECTOR_MIN_AUDIBLE`):
+  the cost is per receiver, and the batch only pays off on wide
+  fan-outs such as the paper's 50-node mesh.
+
+Either way the per-receiver work is one ledger call each at the start
+(``Node.phy_add_power``) and end (``Node.phy_remove_power``) of the
+airtime, plus ``phy_start_reception``/``phy_finish_reception`` only
+for receivers that can decode the frame.  The ledgers stay per-node
+Python state: numpy-array ledgers owned by the channel were measured
+at 1.23x on the paper run but 2.3x slower on the 8-node testbed, whose
+fan-outs are too small to amortize numpy's per-call cost.
 """
 
 from __future__ import annotations
@@ -44,11 +55,17 @@ from repro.sim.trace import CounterSet
 #: through the spatial grid index (below it the brute scan is cheaper).
 GRID_MIN_NODES = 64
 
-#: Node count from which ``phy_backend="auto"`` picks the vectorized
-#: reception path.  Small meshes have so few audible receivers per
-#: transmission that numpy's per-call overhead eats the win; they stay
-#: on the scalar loop (results are bit-identical either way).
-VECTOR_MIN_NODES = 64
+#: Mean audible-list length (receivers per transmission) from which
+#: ``phy_backend="auto"`` picks the vectorized reception path.  The PHY
+#: cost is per receiver, and numpy's fixed per-batch cost only pays off
+#: on wide fan-outs; sparser channels stay on the scalar loop (results
+#: are bit-identical either way).  Measured crossover, SPP at paper
+#: density (50 nodes/km^2) over 60 s, host seconds scalar/vectorized on
+#: two topologies (2-vCPU Xeon, Python 3.11, numpy 2.4): 9 receivers
+#: 0.51/0.58 and 0.44/0.59; 14: 0.79/0.78 and 0.70/0.72; 19: 1.16/1.31
+#: and 0.91/0.85; 24: 2.00/1.62 and 1.84/1.70; 42 (the paper's 50-node
+#: mesh): 4.06/3.32 and 3.12/2.30.
+VECTOR_MIN_AUDIBLE = 16
 
 PHY_BACKENDS = ("auto", "scalar", "vectorized")
 
@@ -57,7 +74,7 @@ class Transmission:
     """One frame in flight."""
 
     __slots__ = ("sender_id", "packet", "dest_id", "start_time", "end_time",
-                 "touched", "notify_sender", "sender")
+                 "touched", "decoding", "notify_sender", "sender")
 
     def __init__(
         self,
@@ -75,7 +92,11 @@ class Transmission:
         self.start_time = start_time
         self.end_time = end_time
         self.notify_sender = notify_sender
+        #: Receivers whose power ledger holds this frame.
         self.touched: List[Node] = []
+        #: Receivers with a pending reception of it (a subsequence of
+        #: ``touched``); only these have anything to finish at the end.
+        self.decoding: List[Node] = []
 
 
 class ChannelError(RuntimeError):
@@ -90,11 +111,10 @@ class _VectorEntry:
     audible-list order so batch element ``k`` is receiver ``k``.
     """
 
-    __slots__ = ("receivers", "receiver_ids", "mean_mw", "rx_thr", "slot")
+    __slots__ = ("receivers", "mean_mw", "rx_thr", "slot")
 
-    def __init__(self, receivers, receiver_ids, mean_mw, rx_thr, slot):
+    def __init__(self, receivers, mean_mw, rx_thr, slot):
         self.receivers = receivers
-        self.receiver_ids = receiver_ids
         self.mean_mw = mean_mw
         self.rx_thr = rx_thr
         self.slot = slot
@@ -233,29 +253,29 @@ class WirelessChannel:
         """Re-derive every sender's audibility list from current positions."""
         nodes = self.nodes
         grid = self._grid
+        margin = self.audible_margin_linear
+        # Per-receiver constants, hoisted out of the N^2 pair loop.
+        cutoffs = [
+            node.params.carrier_sense_threshold_mw / margin for node in nodes
+        ]
+        thresholds = [node.params.rx_threshold_mw for node in nodes]
+        everyone = range(len(nodes))
+        mean_rx_power_mw = self.mean_rx_power_mw
         self._audible = {}
         for index, sender in enumerate(nodes):
             audible: List[Tuple[Node, float, float]] = []
             pool = (
-                nodes
+                everyone
                 if grid is None
-                else [
-                    nodes[j]
-                    for j in grid.candidates_within(index, self._grid_reach)
-                ]
+                else grid.candidates_within(index, self._grid_reach)
             )
-            for receiver in pool:
-                if receiver is sender:
+            for j in pool:
+                if j == index:
                     continue
-                mean_mw = self.mean_rx_power_mw(sender, receiver)
-                cutoff = (
-                    receiver.params.carrier_sense_threshold_mw
-                    / self.audible_margin_linear
-                )
-                if mean_mw >= cutoff:
-                    audible.append(
-                        (receiver, mean_mw, receiver.params.rx_threshold_mw)
-                    )
+                receiver = nodes[j]
+                mean_mw = mean_rx_power_mw(sender, receiver)
+                if mean_mw >= cutoffs[j]:
+                    audible.append((receiver, mean_mw, thresholds[j]))
             self._audible[sender.node_id] = audible
         self._connectivity_cache = None
 
@@ -319,7 +339,8 @@ class WirelessChannel:
     def _resolve_backend(self) -> None:
         """Pick scalar vs vectorized reception for this channel.
 
-        "auto" vectorizes when the mesh is large enough, numpy imports,
+        "auto" vectorizes when transmissions reach at least
+        :data:`VECTOR_MIN_AUDIBLE` receivers on average, numpy imports,
         no subclass replaced ``_sampled_power``, and the fading model
         has a bit-identical batched sampler; anything else falls back to
         the scalar loop.  "vectorized" demands it and raises with the
@@ -337,7 +358,10 @@ class WirelessChannel:
             self.phy_backend_resolved = "scalar"
             self._vector_entries = None
             return
-        if self.phy_backend == "auto" and len(self.nodes) < VECTOR_MIN_NODES:
+        if (
+            self.phy_backend == "auto"
+            and self.mean_audible() < VECTOR_MIN_AUDIBLE
+        ):
             self.phy_backend_resolved = "scalar"
             self._vector_entries = None
             return
@@ -396,30 +420,44 @@ class WirelessChannel:
         previous = self._vector_entries or {}
         for sender_id, old in previous.items():
             saved = archive.setdefault(sender_id, {})
-            for rid, state in zip(
-                old.receiver_ids, sampler.dump_state(old.slot)
+            for receiver, state in zip(
+                old.receivers, sampler.dump_state(old.slot)
             ):
                 if state is not None:
-                    saved[rid] = state
+                    saved[receiver.node_id] = state
+        # One array per field for the whole mesh; each sender's entry
+        # holds views into its stretch of it.
+        audibles = [self._audible[sender.node_id] for sender in self.nodes]
+        counts = [len(audible) for audible in audibles]
+        flat = [link for audible in audibles for link in audible]
+        all_mean = np.array([mean for _, mean, _ in flat], dtype=float)
+        all_thr = np.array([thr for _, _, thr in flat], dtype=float)
+        slots = sampler.new_slots(counts)
         entries: Dict[int, _VectorEntry] = {}
-        for sender in self.nodes:
-            audible = self._audible[sender.node_id]
-            receivers = [receiver for receiver, _, _ in audible]
+        start = 0
+        for sender, audible, slot in zip(self.nodes, audibles, slots):
+            end = start + len(audible)
             entry = _VectorEntry(
-                receivers=receivers,
-                receiver_ids=[receiver.node_id for receiver in receivers],
-                mean_mw=np.array([mean for _, mean, _ in audible]),
-                rx_thr=np.array([thr for _, _, thr in audible]),
-                slot=sampler.new_slot(len(audible)),
+                receivers=[receiver for receiver, _, _ in audible],
+                mean_mw=all_mean[start:end],
+                rx_thr=all_thr[start:end],
+                slot=slot,
             )
+            start = end
             saved = archive.get(sender.node_id)
             if saved:
-                for position, rid in enumerate(entry.receiver_ids):
-                    state = saved.get(rid)
+                for position, receiver in enumerate(entry.receivers):
+                    state = saved.get(receiver.node_id)
                     if state is not None:
                         sampler.load_state(entry.slot, position, state)
             entries[sender.node_id] = entry
         self._vector_entries = entries
+
+    def mean_audible(self) -> float:
+        """Mean audible-list length per sender (receivers per frame)."""
+        if not self.nodes:
+            return 0.0
+        return sum(map(len, self._audible.values())) / len(self.nodes)
 
     def note_active_change(self, active: bool) -> None:
         """O(1) hook from ``Node.set_active`` on every radio up/down flip."""
@@ -493,6 +531,7 @@ class WirelessChannel:
         self.transmissions_in_flight += 1
         sender.phy_begin_own_tx()
         touched_append = tx.touched.append
+        decoding_append = tx.decoding.append
         entries = self._vector_entries
         if entries is not None:
             # Batched path: one numpy evaluation of every audible link's
@@ -523,19 +562,19 @@ class WirelessChannel:
                     powers = entry.mean_mw[index] * gains
                     decode = powers >= entry.rx_thr[index]
                     targets = [receivers[k] for k in sel]
-                power_list = powers.tolist()
-                decode_list = decode.tolist()
-                for k, receiver in enumerate(targets):
-                    power_mw = power_list[k]
+                for receiver, power_mw, decodable in zip(
+                    targets, powers.tolist(), decode.tolist()
+                ):
                     if power_mw <= 0.0:
                         continue
                     receiver.phy_add_power(tx, power_mw)
                     touched_append(receiver)
-                    if decode_list[k] and not receiver.transmitting:
+                    if decodable and not receiver.transmitting:
                         reception = Reception(
                             tx, receiver.node_id, power_mw, now, end_time
                         )
                         receiver.phy_start_reception(reception)
+                        decoding_append(receiver)
         else:
             deterministic = self._deterministic_power
             sample = (
@@ -566,6 +605,7 @@ class WirelessChannel:
                         tx, receiver.node_id, power_mw, now, end_time
                     )
                     receiver.phy_start_reception(reception)
+                    decoding_append(receiver)
         self.sim.schedule(
             duration_s, self._end_transmission, tx, priority=EventPriority.PHY
         )
@@ -585,7 +625,7 @@ class WirelessChannel:
         tx.sender.phy_end_own_tx()
         for receiver in tx.touched:
             receiver.phy_remove_power(tx)
-        for receiver in tx.touched:
+        for receiver in tx.decoding:
             receiver.phy_finish_reception(tx, tx.dest_id)
         if tx.notify_sender:
             tx.sender.mac.on_tx_complete()

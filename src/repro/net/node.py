@@ -167,21 +167,48 @@ class Node:
         )
 
     def phy_add_power(self, transmission: Any, power_mw: float) -> None:
-        """A transmission became audible here at the given faded power."""
+        """A transmission became audible here at the given faded power.
+
+        One flat body on the fan-out hot path.  More power can only turn
+        an idle medium busy (never the reverse), so the carrier-sense
+        check runs only while idle and compares against the threshold
+        directly; ``ChannelConservationMonitor`` asserts the
+        ``_last_busy == medium_busy`` invariant this relies on.
+        """
         self._power_contributions[transmission] = power_mw
-        self.current_power_mw += power_mw
-        self._interference_changed()
-        self._update_sense_state()
+        total = self.current_power_mw + power_mw
+        self.current_power_mw = total
+        if self.pending_receptions:
+            contributions = self._power_contributions
+            for tx, reception in self.pending_receptions.items():
+                reception.note_interference(
+                    total - contributions.get(tx, 0.0)
+                )
+        if (
+            not self._last_busy
+            and total >= self.params.carrier_sense_threshold_mw
+        ):
+            self._last_busy = True
+            self.mac.on_medium_state(True)
 
     def phy_remove_power(self, transmission: Any) -> None:
-        """An audible transmission ended; withdraw its power."""
-        power = self._power_contributions.pop(transmission, 0.0)
-        self.current_power_mw -= power
-        if self.current_power_mw < 0.0:  # guard against float drift
-            self.current_power_mw = 0.0
-        if not self._power_contributions:
-            self.current_power_mw = 0.0
-        self._update_sense_state()
+        """An audible transmission ended; withdraw its power.
+
+        Less power can only turn a busy medium idle, so the check runs
+        only while busy (mirror image of :meth:`phy_add_power`).
+        """
+        contributions = self._power_contributions
+        total = self.current_power_mw - contributions.pop(transmission, 0.0)
+        if total < 0.0 or not contributions:  # float drift / drained
+            total = 0.0
+        self.current_power_mw = total
+        if (
+            self._last_busy
+            and not self.transmitting
+            and total < self.params.carrier_sense_threshold_mw
+        ):
+            self._last_busy = False
+            self.mac.on_medium_state(False)
 
     def phy_begin_own_tx(self) -> None:
         """Half duplex: starting to transmit kills any in-flight receptions."""
@@ -219,17 +246,9 @@ class Node:
         else:
             self.counters.add("phy.rx_failed_collision")
 
-    def _interference_changed(self) -> None:
-        if not self.pending_receptions:
-            return
-        total = self.current_power_mw
-        contributions = self._power_contributions
-        for transmission, reception in self.pending_receptions.items():
-            own = contributions.get(transmission, 0.0)
-            reception.note_interference(total - own)
-
     def _update_sense_state(self) -> None:
-        # Inlined `medium_busy`: this runs on every power add/remove.
+        # Full re-derivation for own-transmission start/end and radio
+        # up/down; the power ledgers use the one-way checks above.
         busy = self.transmitting or self.reception_model.can_sense(
             self.current_power_mw
         )

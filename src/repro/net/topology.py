@@ -221,12 +221,21 @@ def _neighbor_query(positions: Sequence[Position], range_m: float):
     with the same ``distance_to`` comparison), so the switch is purely
     a constant-factor decision.
     """
+    grid = _auto_grid(positions, range_m)
+    if grid is not None:
+        return lambda index: grid.neighbors_within(index, range_m)
+    return lambda index: neighbors_within(positions, index, range_m)
+
+
+def _auto_grid(
+    positions: Sequence[Position], range_m: float
+) -> Optional[SpatialGridIndex]:
+    """A spatial grid for ``range_m`` queries when the mesh is large."""
     if len(positions) >= GRID_AUTO_NODES and range_m > 0.0 and math.isfinite(
         range_m
     ):
-        grid = SpatialGridIndex(positions, cell_size_m=range_m)
-        return lambda index: grid.neighbors_within(index, range_m)
-    return lambda index: neighbors_within(positions, index, range_m)
+        return SpatialGridIndex(positions, cell_size_m=range_m)
+    return None
 
 
 def is_connected(positions: Sequence[Position], range_m: float) -> bool:
@@ -234,16 +243,26 @@ def is_connected(positions: Sequence[Position], range_m: float) -> bool:
     n = len(positions)
     if n <= 1:
         return True
-    neighbors = _neighbor_query(positions, range_m)
-    seen = {0}
+    # BFS that tests each step only against the nodes not yet reached,
+    # with the same ``distance_to(...) <= range_m`` predicate as
+    # neighbors_within; large meshes prune that set through the grid.
+    grid = _auto_grid(positions, range_m)
+    unseen = set(range(1, n))
     frontier = [0]
-    while frontier:
+    while frontier and unseen:
         current = frontier.pop()
-        for other in neighbors(current):
-            if other not in seen:
-                seen.add(other)
-                frontier.append(other)
-    return len(seen) == n
+        center = positions[current]
+        pool = (
+            unseen
+            if grid is None
+            else unseen.intersection(grid.candidates_within(current, range_m))
+        )
+        reached = [
+            i for i in pool if center.distance_to(positions[i]) <= range_m
+        ]
+        unseen.difference_update(reached)
+        frontier.extend(reached)
+    return not unseen
 
 
 def average_degree(positions: Sequence[Position], range_m: float) -> float:

@@ -125,12 +125,17 @@ class VectorizedSampler:
     result aligns element-for-element with the queried links.
 
     ``new_slot`` allocates whatever per-sender state the model keeps
-    (only the correlated model keeps any); ``dump_state``/``load_state``
-    let the channel migrate that state across re-finalizes.
+    (only the correlated model keeps any), and ``new_slots`` does so for
+    every sender at once; ``dump_state``/``load_state`` let the channel
+    migrate that state across re-finalizes.
     """
 
     def new_slot(self, count: int) -> Optional[object]:
         return None
+
+    def new_slots(self, counts: Sequence[int]) -> List[Optional[object]]:
+        """One slot per entry of ``counts``, for a whole mesh at once."""
+        return [self.new_slot(count) for count in counts]
 
     def dump_state(self, slot: Optional[object]) -> List[Optional[tuple]]:
         return []
@@ -185,15 +190,19 @@ class RicianSampler(VectorizedSampler):
 
 
 class _CorrelatedSlot:
-    """AR(1) state arrays for one sender's audible links."""
+    """AR(1) state arrays for one sender's audible links.
+
+    The arrays may be views into mesh-wide arrays (see ``new_slots``);
+    ``gains`` only ever writes through them in place.
+    """
 
     __slots__ = ("t", "re", "im", "has")
 
-    def __init__(self, count: int) -> None:
-        self.t = np.zeros(count)
-        self.re = np.zeros(count)
-        self.im = np.zeros(count)
-        self.has = np.zeros(count, dtype=bool)
+    def __init__(self, t, re, im, has) -> None:
+        self.t = t
+        self.re = re
+        self.im = im
+        self.has = has
 
 
 class CorrelatedRayleighSampler(VectorizedSampler):
@@ -213,7 +222,24 @@ class CorrelatedRayleighSampler(VectorizedSampler):
         self._sigma = math.sqrt(0.5)
 
     def new_slot(self, count):
-        return _CorrelatedSlot(count)
+        return self.new_slots([count])[0]
+
+    def new_slots(self, counts):
+        # Four allocations for the whole mesh instead of four per
+        # sender; each slot holds views into its own stretch.
+        total = sum(counts)
+        t, re, im = np.zeros(total), np.zeros(total), np.zeros(total)
+        has = np.zeros(total, dtype=bool)
+        slots = []
+        start = 0
+        for count in counts:
+            end = start + count
+            slots.append(
+                _CorrelatedSlot(t[start:end], re[start:end], im[start:end],
+                                has[start:end])
+            )
+            start = end
+        return slots
 
     def dump_state(self, slot):
         if slot is None:

@@ -72,7 +72,8 @@ def _prune_by_sequence(
 
 @register_monitor
 class ChannelConservationMonitor(InvariantMonitor):
-    """Channel power/pending-reception ledgers are exact and drain."""
+    """Channel power/pending-reception ledgers are exact and drain, and
+    every node's reported carrier-sense state matches its ledger."""
 
     name = "channel-conservation"
 
@@ -100,6 +101,17 @@ class ChannelConservationMonitor(InvariantMonitor):
                     f"power ledger sums to {total!r} mW but "
                     f"current_power_mw is {power!r} mW "
                     f"({len(ledger)} contribution(s))",
+                    node_id=node.node_id,
+                )
+            if node._last_busy != node.medium_busy:
+                # The node ledgers flip carrier sense one way per call
+                # (add: idle->busy, remove: busy->idle), which is only
+                # sound while the state last reported to the MAC
+                # matches the truth.
+                self.fail(
+                    f"MAC was last told busy={node._last_busy} but the "
+                    f"medium is busy={node.medium_busy} "
+                    f"({power!r} mW, transmitting={node.transmitting})",
                     node_id=node.node_id,
                 )
             for reception in node.pending_receptions.values():

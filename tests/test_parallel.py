@@ -8,6 +8,7 @@ itself instead of killing the sweep.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import replace
 
 import pytest
@@ -103,6 +104,19 @@ class TestDeterminismAcrossExecutionModes:
             config=TINY, protocols=("odmrp", "spp"), topology_seeds=(1,),
             jobs=2, cache_dir=str(tmp_path),
         ) == []
+
+
+class TestWorkerMemory:
+    def test_scenario_garbage_collected_after_each_run(self):
+        """A pool worker must not carry dead scenarios between runs:
+        scenarios are reference cycles, so only the cyclic collector
+        frees them, and ``_execute_spec`` runs it before returning."""
+        from repro.experiments.parallel import _execute_spec
+        from repro.net.node import Node
+
+        result, _elapsed = _execute_spec(RunSpec("spp", TINY, 1))
+        assert result.error is None
+        assert not [obj for obj in gc.get_objects() if isinstance(obj, Node)]
 
 
 class TestFailureContainment:

@@ -121,6 +121,21 @@ class TestGridMatchesBruteForce:
             positions, 250.0
         )
 
+    def test_large_mesh_bfs_matches_on_both_answers(self):
+        """The grid-pruned unseen-only BFS agrees with the brute BFS on
+        connected and disconnected large meshes alike."""
+        rng = random.Random(11)
+        answers = set()
+        for side in (500.0, 800.0, 1100.0, 2000.0):
+            positions = [
+                Position(rng.uniform(0, side), rng.uniform(0, side))
+                for _ in range(GRID_AUTO_NODES + 16)
+            ]
+            answer = is_connected(positions, 250.0)
+            assert answer == brute_connected(positions, 250.0)
+            answers.add(answer)
+        assert answers == {True, False}
+
 
 class TestEdgeOfCellBoundaries:
     """Points exactly on cell borders and ranges exactly at distances."""

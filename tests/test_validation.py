@@ -148,6 +148,21 @@ class TestCleanRunsPassMonitors:
         assert scenario.validation.checks_run >= 10
 
 
+@pytest.fixture
+def broken_flip(monkeypatch):
+    """``Node.phy_remove_power`` that withdraws power but never makes the
+    busy->idle flip (its MAC keeps deferring to a silent medium)."""
+
+    def remove_power(self, transmission):
+        contributions = self._power_contributions
+        total = self.current_power_mw - contributions.pop(transmission, 0.0)
+        if total < 0.0 or not contributions:
+            total = 0.0
+        self.current_power_mw = total
+
+    monkeypatch.setattr(Node, "phy_remove_power", remove_power)
+
+
 class TestInjectedBugsAreCaught:
     def test_power_leak_caught_by_channel_conservation(self, monkeypatch):
         """Dropping every 3rd power removal leaves an audible ghost."""
@@ -168,6 +183,14 @@ class TestInjectedBugsAreCaught:
         assert violation.protocol == "odmrp"
         assert violation.seed == 2
         assert violation.config is not None
+
+    def test_broken_carrier_sense_flip_caught(self, broken_flip):
+        """A ledger that misses a busy->idle flip leaves the MAC
+        deferring to a medium that is idle."""
+        with pytest.raises(InvariantViolation) as excinfo:
+            run_validated("odmrp")
+        assert excinfo.value.invariant == "channel-conservation"
+        assert "MAC was last told busy=True" in str(excinfo.value)
 
     def test_power_leak_violation_replays(self, monkeypatch, tmp_path):
         """The violation's (protocol, config, seed) triple reproduces it."""

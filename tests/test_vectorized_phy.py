@@ -194,9 +194,21 @@ class TestBackendResolution:
         assert network.channel.phy_backend_resolved == "scalar"
 
     def test_auto_vectorizes_above_threshold(self, monkeypatch):
-        monkeypatch.setattr(channel_module, "VECTOR_MIN_NODES", 4)
+        monkeypatch.setattr(channel_module, "VECTOR_MIN_AUDIBLE", 4)
         network = self._network("auto")
+        assert network.channel.mean_audible() >= 4
         assert network.channel.phy_backend_resolved == "vectorized"
+
+    def test_paper_default_mesh_vectorizes(self):
+        """The Section 4.1 50-node mesh is wide enough to batch."""
+        from repro.experiments.scenarios import build_simulation_scenario
+
+        scenario = build_simulation_scenario(
+            "spp", SimulationScenarioConfig()
+        )
+        channel = scenario.network.channel
+        assert channel.mean_audible() >= channel_module.VECTOR_MIN_AUDIBLE
+        assert channel.phy_backend_resolved == "vectorized"
 
     def test_forced_vectorized_on_tiny_mesh(self):
         network = self._network("vectorized")
