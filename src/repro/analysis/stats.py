@@ -53,7 +53,12 @@ def stddev(values: Sequence[float]) -> float:
     if n < 2:
         return 0.0
     center = mean(values)
-    variance = math.fsum((v - center) ** 2 for v in values) / (n - 1)
+    # Squares by multiplication, not ``** 2``: libm's pow is not always
+    # correctly rounded, which would break exact power-of-two scale
+    # invariance of everything built on this.
+    variance = math.fsum((v - center) * (v - center) for v in values) / (
+        n - 1
+    )
     return math.sqrt(variance)
 
 
@@ -240,8 +245,8 @@ def welch_t_test(a: Sequence[float], b: Sequence[float]) -> WelchResult:
     if n1 < 2 or n2 < 2:
         return WelchResult(statistic=0.0, df=0.0, p_value=1.0)
     m1, m2 = mean(a), mean(b)
-    v1 = stddev(a) ** 2
-    v2 = stddev(b) ** 2
+    s1, s2 = stddev(a), stddev(b)
+    v1, v2 = s1 * s1, s2 * s2
     if v1 == 0.0 and v2 == 0.0:
         df = float(n1 + n2 - 2)
         if m1 == m2:
@@ -268,8 +273,8 @@ def unpaired_difference_ci(
     center = mean(a) - mean(b)
     if n1 < 2 or n2 < 2:
         return (center, center)
-    se1 = stddev(a) ** 2 / n1
-    se2 = stddev(b) ** 2 / n2
+    s1, s2 = stddev(a), stddev(b)
+    se1, se2 = s1 * s1 / n1, s2 * s2 / n2
     if se1 + se2 == 0.0:
         return (center, center)
     df = _welch_df(se1, se2, n1, n2)

@@ -39,7 +39,7 @@ fan-outs are too small to amortize numpy's per-call cost.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.net.node import Node
 from repro.net.packet import Packet
@@ -58,14 +58,17 @@ GRID_MIN_NODES = 64
 #: Mean audible-list length (receivers per transmission) from which
 #: ``phy_backend="auto"`` picks the vectorized reception path.  The PHY
 #: cost is per receiver, and numpy's fixed per-batch cost only pays off
-#: on wide fan-outs; sparser channels stay on the scalar loop (results
-#: are bit-identical either way).  Measured crossover, SPP at paper
-#: density (50 nodes/km^2) over 60 s, host seconds scalar/vectorized on
-#: two topologies (2-vCPU Xeon, Python 3.11, numpy 2.4): 9 receivers
-#: 0.51/0.58 and 0.44/0.59; 14: 0.79/0.78 and 0.70/0.72; 19: 1.16/1.31
-#: and 0.91/0.85; 24: 2.00/1.62 and 1.84/1.70; 42 (the paper's 50-node
-#: mesh): 4.06/3.32 and 3.12/2.30.
-VECTOR_MIN_AUDIBLE = 16
+#: on wide enough fan-outs; sparser channels stay on the scalar loop
+#: (results are bit-identical either way).  Measured crossover, SPP at
+#: paper density (n nodes on a square of n/50 km^2, one group of n//3
+#: members below 20 nodes, else two of min(10, n//3)) over 60 s, median
+#: of three alternating runs, host seconds scalar/vectorized on two
+#: topologies (2-vCPU Xeon, Python 3.11, numpy 2.4): 5 receivers
+#: 0.11/0.11 and 0.10/0.14; 7: 0.23/0.21 and 0.20/0.21; 9: 0.24/0.24
+#: and 0.25/0.24; 10: 0.34/0.31 and 0.17/0.15; 12: 0.41/0.27 and
+#: 0.21/0.16; 14: 0.65/0.51 and 0.36/0.29; 24: 1.90/1.24 and
+#: 2.09/1.34; 42 (the paper's 50-node mesh): 4.03/2.91 and 2.99/1.49.
+VECTOR_MIN_AUDIBLE = 10
 
 PHY_BACKENDS = ("auto", "scalar", "vectorized")
 
@@ -153,7 +156,6 @@ class WirelessChannel:
         self._fading_rng = sim.rng.stream("phy.fading")
         self._finalized = False
         self._connectivity_cache: Optional[Dict[int, List[int]]] = None
-        self._tx_counter_names: Dict[Any, str] = {}
         #: Transmissions currently on the air (begin minus end).  O(1)
         #: bookkeeping so the conservation monitor can assert that power
         #: ledgers and pending receptions drain exactly when this is 0.
@@ -522,12 +524,7 @@ class WirelessChannel:
         end_time = now + duration_s
         tx = Transmission(sender, packet, dest_id, now, end_time,
                           notify_sender)
-        kind = packet.kind
-        counter_name = self._tx_counter_names.get(kind)
-        if counter_name is None:
-            counter_name = f"channel.tx.{kind.value}"
-            self._tx_counter_names[kind] = counter_name
-        self.counters.add(counter_name)
+        self.counters.add(packet.kind.channel_tx)
         self.transmissions_in_flight += 1
         sender.phy_begin_own_tx()
         touched_append = tx.touched.append

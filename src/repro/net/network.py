@@ -42,7 +42,7 @@ class NetworkConfig:
     #: out ~2x the paper's.  10 s reproduces the paper's gain magnitudes.
     fading_coherence_time_s: float = 10.0
     #: Reception backend: "auto" batches fading/decode math with numpy
-    #: when transmissions reach at least ``VECTOR_MIN_AUDIBLE`` (16)
+    #: when transmissions reach at least ``VECTOR_MIN_AUDIBLE`` (10)
     #: receivers on average -- the paper's 50-node mesh reaches about
     #: 43 -- and keeps the per-receiver loop below that (bit-identical
     #: either way); "scalar"/"vectorized" force a path (see

@@ -103,8 +103,9 @@ class Node:
         self, packet: Packet, on_done: Optional[Callable[[bool], Any]] = None
     ) -> bool:
         """Queue a link-layer broadcast (one attempt, no ACK)."""
-        self.counters.add(f"tx.{packet.kind.value}.packets")
-        self.counters.add(f"tx.{packet.kind.value}.bytes", packet.size_bytes)
+        kind = packet.kind
+        self.counters.add(kind.tx_packets)
+        self.counters.add(kind.tx_bytes, packet.size_bytes)
         return self.mac.enqueue(packet, BROADCAST_ID, on_done)
 
     def send_unicast(
@@ -114,8 +115,9 @@ class Node:
         on_done: Optional[Callable[[bool], Any]] = None,
     ) -> bool:
         """Queue a link-layer unicast (ACKed, retried)."""
-        self.counters.add(f"tx.{packet.kind.value}.packets")
-        self.counters.add(f"tx.{packet.kind.value}.bytes", packet.size_bytes)
+        kind = packet.kind
+        self.counters.add(kind.tx_packets)
+        self.counters.add(kind.tx_bytes, packet.size_bytes)
         return self.mac.enqueue(packet, dest_id, on_done)
 
     def set_position(self, position: Position) -> None:
@@ -266,15 +268,16 @@ class Node:
         if dest_id != BROADCAST_ID and dest_id != self.node_id:
             self.counters.add("phy.rx_overheard")
             return
-        self.counters.add(f"rx.{packet.kind.value}.packets")
-        self.counters.add(f"rx.{packet.kind.value}.bytes", packet.size_bytes)
-        if packet.kind == PacketKind.ACK:
+        kind = packet.kind
+        self.counters.add(kind.rx_packets)
+        self.counters.add(kind.rx_bytes, packet.size_bytes)
+        if kind is PacketKind.ACK:
             if packet.payload.acked_sender == self.node_id:
                 self.mac.on_ack(packet.payload.acked_uid)
             return
         if dest_id == self.node_id:
             self.mac.handle_received_data(packet, sender_id, dest_id)
-        handler = self._handlers.get(packet.kind)
+        handler = self._handlers.get(kind)
         if handler is not None:
             handler(packet, sender_id, rx_power_mw)
         else:

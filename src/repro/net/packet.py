@@ -33,6 +33,15 @@ class PacketKind(Enum):
     PING = "ping"
     ACK = "ack"
 
+    def __init__(self, value: str) -> None:
+        # Counter names, built once per kind: the per-packet paths read
+        # a plain attribute instead of formatting over ``.value``.
+        self.tx_packets = f"tx.{value}.packets"
+        self.tx_bytes = f"tx.{value}.bytes"
+        self.rx_packets = f"rx.{value}.packets"
+        self.rx_bytes = f"rx.{value}.bytes"
+        self.channel_tx = f"channel.tx.{value}"
+
     @property
     def is_probe(self) -> bool:
         return self in (

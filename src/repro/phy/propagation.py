@@ -178,13 +178,18 @@ class TwoRayGroundPropagation(PropagationModel):
         )
         if free_space is None:
             return None
+        # Power falls monotonically and both laws meet at the crossover,
+        # so the branch the cutoff lands in decides: free space when it
+        # is reached before the crossover, the d^-4 inverse otherwise.
+        # (When the free-space answer sits within the safety slack above
+        # the crossover, the d^-4 inverse still bounds it: below the
+        # crossover the d^-4 law lies above free space.)
+        if free_space <= self.crossover_distance_m:
+            return free_space
         budget = tx_power_mw * tx_gain * rx_gain
         ht2 = self.tx_antenna_height_m * self.tx_antenna_height_m
         hr2 = self.rx_antenna_height_m * self.rx_antenna_height_m
-        ground = (budget * ht2 * hr2 / min_power_mw) ** 0.25 * _RANGE_SAFETY
-        # Whichever branch reaches farther bounds the model: below the
-        # crossover the free-space inverse applies, above it the d^-4 one.
-        return max(free_space, ground)
+        return (budget * ht2 * hr2 / min_power_mw) ** 0.25 * _RANGE_SAFETY
 
 
 class LogDistancePropagation(PropagationModel):

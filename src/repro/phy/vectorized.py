@@ -16,12 +16,21 @@ The bit-identity contract and how each piece honors it:
   would have (verified by tests down to the last ulp).  The clone is
   taken before the first draw and advanced only by the batched path, so
   a vectorized run consumes the stream in lock-step with a scalar one.
+* **Blocks** -- a sampler does not touch the stream once per
+  transmission.  It draws :data:`BLOCK_DRAWS` standard variates at a
+  time (exponentials for Rayleigh, Box-Muller pairs otherwise), lazily
+  at its first ``gains`` call, and hands out consecutive slices in
+  stream order; a batch that outruns the block continues into the next
+  one.  The ``k``-th link drawn in the run therefore gets the ``k``-th
+  variate of the stream whatever the block size, so blocking changes
+  only how often numpy is called, never a bit.
 * **Transcendentals** -- numpy's ``log``/``exp`` use SIMD polynomial
   kernels that differ from libm by an ulp on some inputs, which would
-  silently break golden results.  The samplers therefore evaluate
-  ``log``/``exp`` with ``math``'s scalar functions in a tight list
-  comprehension and batch only the operations numpy computes
-  bit-identically (``cos``/``sin``/``sqrt`` and IEEE arithmetic).
+  silently break golden results.  ``log`` therefore runs through
+  ``math.log``, mapped over each block's uniforms once per refill, and
+  the AR(1) decay ``exp`` through ``math.exp``; numpy batches only the
+  operations it computes bit-identically (``cos``/``sin``/``sqrt`` and
+  IEEE arithmetic).
 * **Operation order** -- every sampler replays CPython's own formulas
   operation for operation: ``expovariate(1.0)`` is ``-log(1.0 - u)``
   and ``gauss(mu, sigma)`` is the Box-Muller pair ``mu + (cos(u1 *
@@ -66,6 +75,11 @@ from repro.phy.fading import (
 
 TWOPI = 2.0 * math.pi  # random.gauss's angle scale
 
+#: Variates (exponentials, or Box-Muller pairs) drawn per block refill.
+#: Any size gives the same bits; this one amortizes numpy's per-call
+#: cost over about fifty paper-mesh transmissions per refill.
+BLOCK_DRAWS = 2048
+
 
 class MtUniformStream:
     """Batched uniforms, bit-identical to ``random.Random.random()``.
@@ -97,23 +111,76 @@ class MtUniformStream:
         return self._state.random_sample(n)
 
 
-def _gauss_pairs(
-    stream: MtUniformStream, count: int
-) -> "tuple[np.ndarray, np.ndarray]":
-    """``count`` Box-Muller pairs, matching paired ``rng.gauss(0, 1)``.
+class _Blocks:
+    """Standard variates from a uniform stream, drawn a block at a time.
 
-    Returns ``(z1, z2)`` where ``z1[j]``/``z2[j]`` are the standard
-    normals the scalar path's first/second ``gauss`` call of pair ``j``
-    would produce.  ``log`` runs through ``math`` (numpy's differs by
-    an ulp); ``cos``/``sin``/``sqrt`` are batched (bit-equal to libm).
+    ``take(n)`` returns the next ``n`` variates along the last axis, in
+    stream order.  Slices already handed out are never handed out
+    again, so a caller may keep or mutate them freely.
     """
-    u = stream.uniforms(2 * count)
-    x2pi = u[0::2] * TWOPI
-    log = math.log
-    g2rad = np.sqrt(
-        np.array([-2.0 * log(1.0 - v) for v in u[1::2].tolist()])
-    )
-    return np.cos(x2pi) * g2rad, np.sin(x2pi) * g2rad
+
+    __slots__ = ("_stream", "_block", "_pos", "_size")
+
+    def __init__(self, stream: MtUniformStream) -> None:
+        self._stream = stream
+        self._block = self._draw(0)  # empty, in the block's shape
+        self._pos = 0
+        self._size = 0
+
+    def _draw(self, size: int) -> "np.ndarray":
+        raise NotImplementedError
+
+    def take(self, n: int) -> "np.ndarray":
+        pos = self._pos
+        stop = pos + n
+        if stop <= self._size:
+            self._pos = stop
+            return self._block[..., pos:stop]
+        parts = [self._block[..., pos:]]
+        need = stop - self._size
+        while True:
+            size = BLOCK_DRAWS
+            self._block = self._draw(size)
+            self._size = size
+            if need <= size:
+                self._pos = need
+                parts.append(self._block[..., :need])
+                return np.concatenate(parts, axis=-1)
+            parts.append(self._block)
+            need -= size
+
+
+class _Exponentials(_Blocks):
+    """``rng.expovariate(1.0)`` draws: ``-log(1.0 - u)`` per uniform."""
+
+    __slots__ = ()
+
+    def _draw(self, size):
+        u = self._stream.uniforms(size)
+        return -np.fromiter(map(math.log, (1.0 - u).tolist()), float, size)
+
+
+class _GaussPairs(_Blocks):
+    """Box-Muller pairs matching paired ``rng.gauss(0, 1)``, as ``(2, n)``.
+
+    Column ``j`` holds the standard normals the scalar path's first and
+    second ``gauss`` call of pair ``j`` would produce.
+    """
+
+    __slots__ = ()
+
+    def _draw(self, size):
+        u = self._stream.uniforms(2 * size)
+        x2pi = u[0::2] * TWOPI
+        g2rad = np.sqrt(
+            -2.0 * np.fromiter(
+                map(math.log, (1.0 - u[1::2]).tolist()), float, size
+            )
+        )
+        z = np.empty((2, size))
+        np.multiply(np.cos(x2pi), g2rad, out=z[0])
+        np.multiply(np.sin(x2pi), g2rad, out=z[1])
+        return z
 
 
 class VectorizedSampler:
@@ -159,13 +226,10 @@ class RayleighSampler(VectorizedSampler):
     """i.i.d. exponential power gains; mirrors ``rng.expovariate(1.0)``."""
 
     def __init__(self, stream: MtUniformStream) -> None:
-        self._stream = stream
+        self._draws = _Exponentials(stream)
 
     def gains(self, slot, count, sel, now):
-        draws = count if sel is None else len(sel)
-        u = self._stream.uniforms(draws)
-        log = math.log
-        return np.array([-log(1.0 - v) for v in u.tolist()])
+        return self._draws.take(count if sel is None else len(sel))
 
 
 class RicianSampler(VectorizedSampler):
@@ -177,47 +241,55 @@ class RicianSampler(VectorizedSampler):
         los_amplitude: float,
         scatter_sigma: float,
     ) -> None:
-        self._stream = stream
+        self._pairs = _GaussPairs(stream)
         self._los = los_amplitude
         self._sigma = scatter_sigma
 
     def gains(self, slot, count, sel, now):
-        draws = count if sel is None else len(sel)
-        z1, z2 = _gauss_pairs(self._stream, draws)
-        real = self._los + (0.0 + z1 * self._sigma)
-        imag = 0.0 + z2 * self._sigma
-        return real * real + imag * imag
+        h = self._pairs.take(count if sel is None else len(sel)) * self._sigma
+        h += 0.0  # gauss(0.0, sigma) is 0.0 + z * sigma: -0.0 becomes 0.0
+        h[0] += self._los
+        h *= h
+        return h[0] + h[1]
 
 
 class _CorrelatedSlot:
-    """AR(1) state arrays for one sender's audible links.
+    """AR(1) state for one sender's audible links.
 
-    The arrays may be views into mesh-wide arrays (see ``new_slots``);
-    ``gains`` only ever writes through them in place.
+    ``h`` holds the real and imaginary parts as one ``(2, count)``
+    array.  The arrays may be views into mesh-wide arrays (see
+    ``new_slots``); ``gains`` only ever writes through them in place.
+
+    ``since`` is the time of the last update when it covered every link
+    of the slot, else ``None``.  While it is set, ``t`` and ``has`` may
+    lag behind (every link holds state and was last updated at
+    ``since``); ``_settle`` writes them out before anything reads them.
     """
 
-    __slots__ = ("t", "re", "im", "has")
+    __slots__ = ("t", "h", "has", "since")
 
-    def __init__(self, t, re, im, has) -> None:
+    def __init__(self, t, h, has) -> None:
         self.t = t
-        self.re = re
-        self.im = im
+        self.h = h
         self.has = has
+        self.since: Optional[float] = None
 
 
 class CorrelatedRayleighSampler(VectorizedSampler):
     """Gauss-Markov fading; replays the scalar AR(1) update exactly.
 
-    Fast path: after a sender's first transmission every link in its
-    slot shares the same last-update time, so ``rho`` and the
-    innovation are a single scalar ``exp``/``sqrt`` instead of per-link
-    loops -- same doubles, computed once.
+    Fast path: after a transmission that updated every link of a slot,
+    all its links share one last-update time (the slot's ``since``), so
+    ``rho`` and the innovation are a single scalar ``exp``/``sqrt`` and
+    the update is a handful of in-place array operations -- same
+    doubles, computed once.  Partial batches (inactive receivers) and
+    migrated state take the general per-link path.
     """
 
     def __init__(
         self, stream: MtUniformStream, coherence_time_s: float
     ) -> None:
-        self._stream = stream
+        self._pairs = _GaussPairs(stream)
         self._T = coherence_time_s
         self._sigma = math.sqrt(0.5)
 
@@ -225,39 +297,65 @@ class CorrelatedRayleighSampler(VectorizedSampler):
         return self.new_slots([count])[0]
 
     def new_slots(self, counts):
-        # Four allocations for the whole mesh instead of four per
+        # Three allocations for the whole mesh instead of three per
         # sender; each slot holds views into its own stretch.
         total = sum(counts)
-        t, re, im = np.zeros(total), np.zeros(total), np.zeros(total)
+        t, h = np.zeros(total), np.zeros((2, total))
         has = np.zeros(total, dtype=bool)
         slots = []
         start = 0
         for count in counts:
             end = start + count
             slots.append(
-                _CorrelatedSlot(t[start:end], re[start:end], im[start:end],
-                                has[start:end])
+                _CorrelatedSlot(t[start:end], h[:, start:end], has[start:end])
             )
             start = end
         return slots
 
+    @staticmethod
+    def _settle(slot):
+        if slot.since is not None:
+            slot.t[:] = slot.since
+            slot.has[:] = True
+
     def dump_state(self, slot):
         if slot is None:
             return []
+        self._settle(slot)
         t = slot.t.tolist()
-        re = slot.re.tolist()
-        im = slot.im.tolist()
+        re, im = slot.h.tolist()
         return [
             (t[k], re[k], im[k]) if has else None
             for k, has in enumerate(slot.has.tolist())
         ]
 
     def load_state(self, slot, position, entry):
-        slot.t[position], slot.re[position], slot.im[position] = entry
+        self._settle(slot)
+        slot.since = None
+        slot.t[position], slot.h[0, position], slot.h[1, position] = entry
         slot.has[position] = True
 
     def gains(self, slot, count, sel, now):
+        since = slot.since
+        if sel is not None or since is None:
+            return self._general(slot, count, sel, now)
+        rho = math.exp(-(now - since) / self._T)
+        innovation = self._sigma * math.sqrt(max(0.0, 1.0 - rho * rho))
+        h = slot.h
+        h *= rho
+        if innovation:
+            w = self._pairs.take(count) * innovation
+            w += 0.0  # as gauss(0.0, innovation) adds its mu
+            h += w
+        slot.since = now
+        power = h * h
+        return power[0] + power[1]
+
+    def _general(self, slot, count, sel, now):
+        """Per-link AR(1) update for links with differing histories."""
         sigma = self._sigma
+        self._settle(slot)
+        slot.since = None
         if sel is None:
             idx: object = slice(None)
             m = count
@@ -266,75 +364,51 @@ class CorrelatedRayleighSampler(VectorizedSampler):
             m = len(sel)
         has = slot.has[idx]
         t_old = slot.t[idx]
-        re_old = slot.re[idx]
-        im_old = slot.im[idx]
+        h_old = slot.h[:, idx]
 
-        if bool(has.all()) and m and bool((t_old == t_old[0]).all()):
-            # Uniform-history fast path (every tx after the first).
-            dt = now - float(t_old[0])
-            rho = math.exp(-dt / self._T)
-            innovation = sigma * math.sqrt(max(0.0, 1.0 - rho * rho))
-            if innovation:
-                z1, z2 = _gauss_pairs(self._stream, m)
-                re_new = rho * re_old + (0.0 + z1 * innovation)
-                im_new = rho * im_old + (0.0 + z2 * innovation)
-            else:
-                re_new = rho * re_old
-                im_new = rho * im_old
-        else:
-            rho_arr = np.empty(m)
-            innov_arr = np.zeros(m)
-            stale = np.nonzero(has)[0]
-            if stale.size:
-                dt = now - t_old[stale]
-                exp = math.exp
-                rho_s = np.array(
-                    [exp(v) for v in (-dt / self._T).tolist()]
+        rho_arr = np.empty(m)
+        innov_arr = np.zeros(m)
+        stale = np.nonzero(has)[0]
+        if stale.size:
+            dt = now - t_old[stale]
+            exp = math.exp
+            rho_s = np.array([exp(v) for v in (-dt / self._T).tolist()])
+            innov_s = sigma * np.sqrt(np.maximum(0.0, 1.0 - rho_s * rho_s))
+            rho_arr[stale] = rho_s
+            innov_arr[stale] = innov_s
+        # Links that consume a gaussian pair, in audible order: fresh
+        # links always, stale links only when the innovation is
+        # non-zero (the scalar path's `if innovation:` branch).
+        need = ~has
+        if stale.size:
+            need[stale] = innov_s != 0.0
+        z = pair_pos = None
+        draws = int(need.sum())
+        if draws:
+            z = self._pairs.take(draws)
+            pair_pos = np.cumsum(need) - 1
+        h_new = np.empty((2, m))
+        fresh = ~has
+        if fresh.any():
+            h_new[:, fresh] = 0.0 + z[:, pair_pos[fresh]] * sigma
+        if stale.size:
+            drew = innov_s != 0.0
+            upd = stale[drew]
+            if upd.size:
+                h_new[:, upd] = rho_arr[upd] * h_old[:, upd] + (
+                    0.0 + z[:, pair_pos[upd]] * innov_arr[upd]
                 )
-                innov_s = sigma * np.sqrt(
-                    np.maximum(0.0, 1.0 - rho_s * rho_s)
-                )
-                rho_arr[stale] = rho_s
-                innov_arr[stale] = innov_s
-            # Links that consume a gaussian pair, in audible order:
-            # fresh links always, stale links only when the innovation
-            # is non-zero (the scalar path's `if innovation:` branch).
-            need = ~has
-            if stale.size:
-                need[stale] = innov_s != 0.0
-            z1 = z2 = pair_pos = None
-            draws = int(need.sum())
-            if draws:
-                z1, z2 = _gauss_pairs(self._stream, draws)
-                pair_pos = np.cumsum(need) - 1
-            re_new = np.empty(m)
-            im_new = np.empty(m)
-            fresh = ~has
-            if fresh.any():
-                fp = pair_pos[fresh]
-                re_new[fresh] = 0.0 + z1[fp] * sigma
-                im_new[fresh] = 0.0 + z2[fp] * sigma
-            if stale.size:
-                drew = innov_s != 0.0
-                upd = stale[drew]
-                if upd.size:
-                    fp = pair_pos[upd]
-                    re_new[upd] = rho_arr[upd] * re_old[upd] + (
-                        0.0 + z1[fp] * innov_arr[upd]
-                    )
-                    im_new[upd] = rho_arr[upd] * im_old[upd] + (
-                        0.0 + z2[fp] * innov_arr[upd]
-                    )
-                hold = stale[~drew]
-                if hold.size:
-                    re_new[hold] = rho_arr[hold] * re_old[hold]
-                    im_new[hold] = rho_arr[hold] * im_old[hold]
+            hold = stale[~drew]
+            if hold.size:
+                h_new[:, hold] = rho_arr[hold] * h_old[:, hold]
 
         slot.t[idx] = now
-        slot.re[idx] = re_new
-        slot.im[idx] = im_new
+        slot.h[:, idx] = h_new
         slot.has[idx] = True
-        return re_new * re_new + im_new * im_new
+        if sel is None:
+            slot.since = now
+        power = h_new * h_new
+        return power[0] + power[1]
 
 
 def build_sampler(

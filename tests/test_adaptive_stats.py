@@ -15,7 +15,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.analysis.stats import (
@@ -206,6 +206,8 @@ class TestWelch:
                  min_size=2, max_size=8),
         st.integers(min_value=-20, max_value=20),
     )
+    # libm's pow(s, 2) is not correctly rounded here: s ** 2 != s * s.
+    @example(a=[0.0, 0.001], b=[-0.164, -3.366], exponent=1)
     def test_scale_invariant(self, a, b, exponent):
         """Multiplying both samples by c > 0 changes nothing.  Every
         IEEE operation commutes exactly with a power-of-two scale (no

@@ -104,6 +104,43 @@ class TestTwoRayGround:
         with pytest.raises(ValueError):
             TwoRayGroundPropagation(tx_antenna_height_m=0.0)
 
+    @given(
+        st.floats(min_value=0.5, max_value=5000.0),
+        st.floats(min_value=0.0, max_value=6000.0),
+        st.floats(min_value=0.1, max_value=1000.0),
+        st.floats(min_value=0.5, max_value=10.0),
+        st.floats(min_value=0.5, max_value=10.0),
+        st.floats(min_value=0.5, max_value=4.0),
+    )
+    def test_range_bound_is_tight_superset(
+        self, edge_m, probe_m, tx_mw, ht, hr, gain
+    ):
+        """Every distance reaching the cutoff lies within the bound, and
+        the bound exceeds the farthest such distance by at most 1e-5."""
+        model = TwoRayGroundPropagation(
+            tx_antenna_height_m=ht, rx_antenna_height_m=hr
+        )
+
+        def reaches(d):
+            return model.rx_power_mw(tx_mw, d, gain, gain) >= cutoff
+
+        cutoff = model.rx_power_mw(tx_mw, edge_m, gain, gain)
+        bound = model.max_range_for_power(tx_mw, cutoff, gain, gain)
+        if reaches(probe_m):
+            assert probe_m <= bound
+        # Bisect for the farthest distance that still reaches the cutoff.
+        lo, hi = edge_m, 2.0 * bound
+        assert not reaches(hi)
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            if reaches(mid):
+                lo = mid
+            else:
+                hi = mid
+        assert lo <= bound <= lo * (1.0 + 1e-5)
+
 
 class TestLogDistance:
     def test_matches_free_space_at_reference(self):

@@ -24,6 +24,7 @@ import random
 import pytest
 
 import repro.net.channel as channel_module
+import repro.phy.vectorized as vectorized_module
 from repro.experiments.runner import run_protocol
 from repro.experiments.scenarios import (
     PROTOCOL_NAMES,
@@ -180,6 +181,131 @@ class TestSamplerParity:
         assert build_sampler(NoFading(), random.Random(1)) is None
 
 
+FADING_MODELS = [
+    RayleighFading,
+    lambda: RicianFading(k_factor=3.0),
+    lambda: CorrelatedRayleighFading(coherence_time_s=0.5),
+]
+
+
+def random_plan(seed: int, count: int, steps: int = 40):
+    """A random interleaving of full, partial and empty batches at
+    repeated and advancing times, with re-finalizes that rearrange the
+    slot over a pool of ``count + 3`` links -- each right after a full
+    batch, so the correlated slot's ``since`` marker is set when its
+    state is dumped (and, when the slot is reused, when it is loaded)."""
+    rng = random.Random(seed)
+    plan = []
+    now = 0.0
+    for _ in range(steps):
+        now += rng.choice([0.0, 0.001, 0.3, 2.0])
+        roll = rng.random()
+        if roll < 0.2:
+            plan.append(("draw", now, None))
+            plan.append(("migrate", rng.sample(range(count + 3), count)))
+        elif roll < 0.6:
+            plan.append(("draw", now, None))
+        else:
+            size = rng.randint(0, count)
+            plan.append(("draw", now, sorted(rng.sample(range(count), size))))
+    return plan
+
+
+def scalar_plan(fading: FadingModel, seed: int, count: int, plan):
+    rng = random.Random(seed)
+    links = list(range(count))
+    out = []
+    for op in plan:
+        if op[0] == "migrate":
+            links = op[1]
+            continue
+        _, now, sel = op
+        positions = range(count) if sel is None else sel
+        out.append([
+            fading.sample_link_gain((0, links[p]), now, rng)
+            for p in positions
+        ])
+    return out
+
+
+def vectorized_plan(fading: FadingModel, seed: int, count: int, plan,
+                    scribble: bool = False):
+    """Replays ``plan`` the way the channel migrates state: dump into a
+    per-link archive, then load the new arrangement from it -- into the
+    same slot when every new link has archived state, else a new one."""
+    sampler = build_sampler(fading, random.Random(seed))
+    slot = sampler.new_slot(count)
+    links = list(range(count))
+    archive = {}
+    out = []
+    for op in plan:
+        if op[0] == "migrate":
+            for link, state in zip(links, sampler.dump_state(slot)):
+                if state is not None:
+                    archive[link] = state
+            links = op[1]
+            if slot is not None and not all(link in archive for link in links):
+                slot = sampler.new_slot(count)
+            for position, link in enumerate(links):
+                if link in archive:
+                    sampler.load_state(slot, position, archive[link])
+            continue
+        _, now, sel = op
+        gains = sampler.gains(slot, count, sel, now)
+        out.append(gains.tolist())
+        if scribble:
+            gains[...] = -1.0
+    return out
+
+
+class TestBlockInvariance:
+    """The block size changes how often numpy runs, never a bit."""
+
+    @pytest.mark.parametrize(
+        "block", [1, 3, 64, vectorized_module.BLOCK_DRAWS]
+    )
+    @pytest.mark.parametrize("make_fading", FADING_MODELS)
+    @pytest.mark.parametrize("count", [5, 150])
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_any_block_size_matches_scalar(
+        self, monkeypatch, block, make_fading, count, seed
+    ):
+        # 150 links outrun blocks of 1, 3 and 64 within one batch, and
+        # forty batches of them cross the default block's boundary.
+        monkeypatch.setattr(vectorized_module, "BLOCK_DRAWS", block)
+        plan = random_plan(seed, count)
+        assert vectorized_plan(make_fading(), seed, count, plan) == (
+            scalar_plan(make_fading(), seed, count, plan)
+        )
+
+    @pytest.mark.parametrize("block", [3, vectorized_module.BLOCK_DRAWS])
+    @pytest.mark.parametrize("make_fading", FADING_MODELS)
+    def test_mutating_returned_gains_leaves_later_draws(
+        self, monkeypatch, block, make_fading
+    ):
+        monkeypatch.setattr(vectorized_module, "BLOCK_DRAWS", block)
+        plan = random_plan(5, 7)
+        assert vectorized_plan(make_fading(), 5, 7, plan, scribble=True) == (
+            scalar_plan(make_fading(), 5, 7, plan)
+        )
+
+    def test_dump_while_fast_path_marker_set(self):
+        """A slot updated as a whole reports every link at that time."""
+        sampler = build_sampler(
+            CorrelatedRayleighFading(coherence_time_s=1.0), random.Random(2)
+        )
+        slot = sampler.new_slot(4)
+        sampler.gains(slot, 4, [1, 3], 0.5)
+        sampler.gains(slot, 4, None, 1.0)
+        sampler.gains(slot, 4, None, 1.5)
+        states = sampler.dump_state(slot)
+        assert [state[0] for state in states] == [1.5] * 4
+        rebuilt = sampler.new_slot(4)
+        for position, state in enumerate(states):
+            sampler.load_state(rebuilt, position, state)
+        assert sampler.dump_state(rebuilt) == states
+
+
 class TestBackendResolution:
     def _network(self, backend, num_nodes=12, **config_kwargs):
         positions = random_topology(
@@ -190,7 +316,10 @@ class TestBackendResolution:
         return Network(positions, seed=1, config=config)
 
     def test_auto_stays_scalar_on_small_meshes(self):
-        network = self._network("auto")
+        network = self._network("auto", num_nodes=6)
+        assert network.channel.mean_audible() < (
+            channel_module.VECTOR_MIN_AUDIBLE
+        )
         assert network.channel.phy_backend_resolved == "scalar"
 
     def test_auto_vectorizes_above_threshold(self, monkeypatch):
