@@ -42,7 +42,8 @@ import platform
 import time
 from typing import Dict, List, Tuple
 
-from repro.experiments.parallel import execute_runs, sweep_specs
+from repro.experiments.executors import create_executor
+from repro.experiments.parallel import _execute_spec, sweep_specs
 from repro.experiments.results import RunResult
 from repro.experiments.runner import run_protocol
 from repro.experiments.scenarios import (
@@ -142,12 +143,17 @@ def bench_sweep_parallel_vs_serial() -> None:
     jobs = _env_int("REPRO_JOBS", 2) or (os.cpu_count() or 1)
     specs = sweep_specs(MESO_CONFIG, PROTOCOL_NAMES, seeds)
 
+    # The serial row runs in this process, so the pool is checked
+    # against code that does not go through it.
     start = time.perf_counter()
-    serial = execute_runs(specs, jobs=1, use_cache=False)
+    serial = [_execute_spec(spec)[0] for spec in specs]
     wall_serial = time.perf_counter() - start
 
     start = time.perf_counter()
-    pooled = execute_runs(specs, jobs=jobs, use_cache=False)
+    pooled = [
+        outcome.result
+        for outcome in create_executor(jobs=jobs).execute(specs)
+    ]
     wall_parallel = time.perf_counter() - start
 
     # The gate: parallel execution must not change a single bit of any
@@ -211,7 +217,7 @@ def bench_distributed_drain() -> None:
     specs = sweep_specs(MESO_CONFIG, ("odmrp", "spp"), seeds)
     lease = LeaseConfig(lease_timeout_s=60.0, heartbeat_interval_s=1.0,
                         poll_interval_s=0.1)
-    serial = execute_runs(specs, jobs=1, use_cache=False)
+    serial = [_execute_spec(spec)[0] for spec in specs]
 
     def drain(n_workers: int) -> Tuple[float, List[RunResult]]:
         with tempfile.TemporaryDirectory(prefix="repro-bench-dir-") as tmp:

@@ -20,7 +20,8 @@ import time
 
 from repro.analysis.tables import render_comparison
 from repro.experiments import figures
-from repro.experiments.parallel import execute_runs_detailed, sweep_specs
+from repro.experiments.executors import create_executor
+from repro.experiments.parallel import sweep_specs
 from repro.experiments.results import aggregate_runs, normalized_metric_table
 from repro.experiments.scenarios import (
     PROTOCOL_NAMES,
@@ -46,9 +47,9 @@ def main(argv=None) -> int:
     log(f"simulation sweep: seeds {seeds}, jobs={args.jobs or 'auto'}")
     specs = sweep_specs(SimulationScenarioConfig(), PROTOCOL_NAMES, seeds)
     wall_start = time.time()
-    outcomes = execute_runs_detailed(
-        specs, jobs=args.jobs, use_cache=not args.no_cache
-    )
+    outcomes = create_executor(
+        jobs=args.jobs, use_cache=not args.no_cache
+    ).execute(specs)
     runs = []
     for outcome in outcomes:
         result = outcome.result

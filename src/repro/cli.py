@@ -22,12 +22,13 @@ Commands::
 ``repro run --spec examples/paper_spec.toml`` executes a serialized
 :class:`~repro.experiments.spec.ExperimentSpec`; ``--protocols``/
 ``--seeds`` narrow it, ``--dry-run`` prints the resolved plan without
-simulating.  ``--run-timeout``/``--max-retries`` put the sweep under
-the resilient supervisor (per-run timeouts, retry with backoff, a
-durable journal); ``--resume`` replays a previously interrupted sweep
-from that journal.  Protocol names everywhere resolve through the registry
-(:mod:`repro.protocols`), so MAODV and WCETT variants sweep through the
-same pipeline as the paper's six.
+simulating.  Every sweep runs on supervised workers (crash containment,
+retry with backoff); ``--run-timeout``/``--max-retries`` set the per-run
+timeout and retry budget and add a durable journal; ``--resume`` replays
+a previously interrupted sweep from that journal.  Protocol names
+everywhere resolve through the registry (:mod:`repro.protocols`), so
+MAODV and WCETT variants sweep through the same pipeline as the paper's
+six.
 
 Simulation commands accept ``--telemetry-dir DIR`` to capture one JSONL
 trace per run (see :mod:`repro.telemetry`); ``repro telemetry summarize``
@@ -250,6 +251,11 @@ def _parse_csv(text: Optional[str]) -> Optional[list]:
     return [item.strip() for item in text.split(",") if item.strip()]
 
 
+def _print_finished(protocol: str, seed: int) -> None:
+    """Sweep progress: the supervisor reports each run as it lands."""
+    print(f"  finished {protocol} seed={seed}", flush=True)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     from repro.experiments.report import render_report
     from repro.experiments.runner import run_experiment
@@ -323,9 +329,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
             campaign = run_campaign_experiment(
                 spec,
-                progress=lambda protocol, seed: print(
-                    f"  running {protocol} seed={seed} ...", flush=True
-                ),
+                progress=_print_finished,
                 resume=args.resume,
                 workers=args.workers,
             )
@@ -335,9 +339,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
             plan = run_adaptive_experiment(
                 spec,
-                progress=lambda protocol, seed: print(
-                    f"  running {protocol} seed={seed} ...", flush=True
-                ),
+                progress=_print_finished,
                 resume=args.resume,
                 workers=args.workers,
             )
@@ -345,14 +347,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         else:
             runs = run_experiment(
                 spec,
-                progress=lambda protocol, seed: print(
-                    f"  running {protocol} seed={seed} ...", flush=True
-                ),
+                progress=_print_finished,
                 resume=args.resume,
                 workers=args.workers,
             )
     except KeyboardInterrupt as interrupt:
-        # The resilient executor drains and journals before raising, so
+        # The supervised executor drains and journals before raising, so
         # tell the user how to pick the sweep back up.
         detail = str(interrupt)
         print(f"\ninterrupted: {detail}" if detail else "\ninterrupted",
@@ -661,12 +661,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--run-timeout", type=float, default=None,
                      metavar="SECONDS",
                      help="per-run wall-clock budget; a run exceeding it "
-                          "is killed and retried (enables the resilient "
-                          "supervisor)")
+                          "is killed and retried (enables the sweep "
+                          "journal)")
     run.add_argument("--max-retries", type=int, default=None, metavar="N",
                      help="retry budget for transient failures -- "
-                          "timeouts, worker crashes, OOM kills (enables "
-                          "the resilient supervisor)")
+                          "timeouts, worker crashes, OOM kills (default "
+                          "2; enables the sweep journal)")
     run.add_argument("--adaptive", action="store_true",
                      help="run under the sequential planner: seeds in "
                           "batches, CI-driven stopping per protocol, "

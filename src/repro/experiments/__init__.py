@@ -10,8 +10,9 @@
 * :mod:`repro.experiments.figures` -- one entry point per paper table or
   figure (the benchmark suite calls these).
 * :mod:`repro.experiments.resilience` -- supervised sweep execution:
-  per-run timeouts, retry with backoff, a failure taxonomy, and a
-  durable journal enabling ``repro run --resume``.
+  the worker pool every local sweep runs on, per-run timeouts, retry
+  with backoff, a failure taxonomy, and a durable journal enabling
+  ``repro run --resume``.
 * :mod:`repro.experiments.chaos` -- fault injection harness asserting
   the supervisor recovers (``repro chaos`` / ``pytest -m chaos``).
 * :mod:`repro.experiments.adaptive` -- sequential seed allocation with

@@ -28,20 +28,20 @@ Execution and replay
 --------------------
 Batches route through the ordinary executor layer
 (:func:`~repro.experiments.executors.create_executor`), one executor
-per batch: the plain pool, the resilient supervisor, and the ``dir://``
-distributed backend all work unchanged -- under ``dir://`` each batch
+per batch: the supervised local pool and the ``dir://`` distributed
+backend both work unchanged -- under ``dir://`` each batch
 is published as an incremental sweep extension into the same shared
 directory, and the shared journal accumulates batch after batch because
 batch keys never overlap.  After every batch the planner appends an
-``adaptive-plan`` record to the sweep journal (when one is in play)
-capturing the per-protocol stopping decision; the whole plan is a pure
-function of journal-replayable run results, so ``repro run --adaptive
---resume`` replays the identical batch-by-batch plan bit for bit.
+``adaptive-plan`` record (:class:`~repro.experiments.resilience.
+PlanJournal`) to the sweep journal (when one is in play) capturing the
+per-protocol stopping decision; the whole plan is a pure function of
+journal-replayable run results, so ``repro run --adaptive --resume``
+replays the identical batch-by-batch plan bit for bit.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -136,6 +136,15 @@ class AdaptiveBatch:
     protocols: Tuple[str, ...]
     decisions: Tuple[AdaptiveDecision, ...]
 
+    def plan_dict(self) -> Dict[str, object]:
+        """This batch as JSON-stable primitives (plan and journal)."""
+        return {
+            "batch": self.index,
+            "seeds": list(self.seeds),
+            "protocols": list(self.protocols),
+            "decisions": [asdict(d) for d in self.decisions],
+        }
+
 
 @dataclass
 class PairedComparison:
@@ -220,15 +229,7 @@ class AdaptiveResult:
             "max_seeds": self.config.max_seeds,
             "paired": self.config.paired,
             "seed_pool": list(self.seed_pool),
-            "batches": [
-                {
-                    "batch": batch.index,
-                    "seeds": list(batch.seeds),
-                    "protocols": list(batch.protocols),
-                    "decisions": [asdict(d) for d in batch.decisions],
-                }
-                for batch in self.batches
-            ],
+            "batches": [batch.plan_dict() for batch in self.batches],
             "seeds_spent": self.seeds_spent(),
             "stop_reasons": self.stop_reasons(),
             "total_runs": self.total_runs,
@@ -402,89 +403,17 @@ def plan_journal_path(
     resume: bool = False,
     journal_path: Optional[str] = None,
 ) -> Optional[str]:
-    """Where this sweep's plan records land, mirroring the executors'
-    own journal resolution: the shared ``dir://`` journal, the explicit
-    ``journal_path``, or the resilient default -- ``None`` when the
-    sweep runs on the plain pool with no journal at all.
+    """Where this sweep's plan records land: the journal its executor
+    writes (:func:`~repro.experiments.executors.resolve_journal_path`),
+    or ``None`` when the sweep keeps no journal at all.
     """
-    from repro.experiments.executors import DIR_KIND, parse_backend
+    from repro.experiments.executors import resolve_journal_path
 
-    backend = parse_backend(spec.backend)
-    if backend.kind == DIR_KIND:
-        assert backend.root is not None
-        return os.path.join(backend.root, "journal.jsonl")
-    if journal_path is not None:
-        return journal_path
-    if resume or spec.run_timeout_s is not None \
-            or spec.max_retries is not None:
-        from repro.experiments.resilience import SweepJournal
-
-        return SweepJournal.default_path(cache_dir)
-    return None
-
-
-def _plan_key(name: str, batch_index: int) -> str:
-    return f"{ADAPTIVE_PLAN_KEY}:{name}:{batch_index:04d}"
-
-
-def _append_plan_record(
-    path: str, name: str, batch: AdaptiveBatch
-) -> None:
-    from repro.experiments.resilience import (
-        JOURNAL_SCHEMA_VERSION,
-        SweepJournal,
+    return resolve_journal_path(
+        spec.backend, cache_dir=cache_dir, resume=resume,
+        journal_path=journal_path, run_timeout_s=spec.run_timeout_s,
+        max_retries=spec.max_retries,
     )
-
-    SweepJournal.append_record(path, {
-        "schema": JOURNAL_SCHEMA_VERSION,
-        "key": _plan_key(name, batch.index),
-        "kind": ADAPTIVE_PLAN_KEY,
-        "name": name,
-        "batch": batch.index,
-        "seeds": list(batch.seeds),
-        "protocols": list(batch.protocols),
-        "decisions": [asdict(d) for d in batch.decisions],
-    })
-
-
-def replay_plan(path: str, name: str) -> List[Dict[str, object]]:
-    """Read a journal's ``adaptive-plan`` records back, batch order.
-
-    ``SweepJournal.replay`` cannot surface these (they are not run
-    records), so this walks the raw JSONL directly with the same
-    damage tolerance: torn or alien lines are skipped, the last record
-    per batch key wins.
-    """
-    import json
-
-    from repro.experiments.resilience import JOURNAL_SCHEMA_VERSION
-
-    by_key: Dict[str, Dict[str, object]] = {}
-    try:
-        handle = open(path, "r", encoding="utf-8")
-    except OSError:
-        return []
-    with handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except ValueError:
-                continue
-            if not isinstance(data, dict):
-                continue
-            if data.get("schema") != JOURNAL_SCHEMA_VERSION:
-                continue
-            if data.get("kind") != ADAPTIVE_PLAN_KEY:
-                continue
-            if data.get("name") != name:
-                continue
-            key = data.get("key")
-            if isinstance(key, str):
-                by_key[key] = data
-    return [by_key[key] for key in sorted(by_key)]
 
 
 # ----------------------------------------------------------------------
@@ -513,6 +442,7 @@ def run_adaptive_experiment(
     """
     from repro.experiments.executors import create_executor
     from repro.experiments.parallel import RunSpec
+    from repro.experiments.resilience import PlanJournal
 
     spec.validate()
     adaptive = (spec.adaptive or AdaptiveConfig()).validate()
@@ -588,7 +518,9 @@ def run_adaptive_experiment(
         )
         result.batches.append(batch)
         if plan_path is not None:
-            _append_plan_record(plan_path, spec.name, batch)
+            PlanJournal(plan_path, ADAPTIVE_PLAN_KEY, spec.name).append(
+                batch.index, batch.plan_dict()
+            )
         active = [d.protocol for d in decisions if not d.stopped]
         batch_index += 1
     return result

@@ -837,65 +837,6 @@ class CampaignResult:
 
 
 # ----------------------------------------------------------------------
-# Journal plumbing (mirrors the adaptive planner's records)
-
-
-def _plan_key(name: str, draw_index: int) -> str:
-    return f"{CAMPAIGN_PLAN_KEY}:{name}:{draw_index:04d}"
-
-
-def _append_plan_record(path: str, name: str, draw: CampaignDraw) -> None:
-    from repro.experiments.resilience import (
-        JOURNAL_SCHEMA_VERSION,
-        SweepJournal,
-    )
-
-    SweepJournal.append_record(path, {
-        "schema": JOURNAL_SCHEMA_VERSION,
-        "key": _plan_key(name, draw.index),
-        "kind": CAMPAIGN_PLAN_KEY,
-        "name": name,
-        **draw.plan_dict(),
-    })
-
-
-def replay_campaign_plan(path: str, name: str) -> List[Dict[str, object]]:
-    """Read a journal's ``campaign-plan`` records back, draw order.
-
-    Same damage tolerance as the run journal reader: torn or alien
-    lines are skipped, the last record per draw key wins.
-    """
-    from repro.experiments.resilience import JOURNAL_SCHEMA_VERSION
-
-    by_key: Dict[str, Dict[str, object]] = {}
-    try:
-        handle = open(path, "r", encoding="utf-8")
-    except OSError:
-        return []
-    with handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except ValueError:
-                continue
-            if not isinstance(data, dict):
-                continue
-            if data.get("schema") != JOURNAL_SCHEMA_VERSION:
-                continue
-            if data.get("kind") != CAMPAIGN_PLAN_KEY:
-                continue
-            if data.get("name") != name:
-                continue
-            key = data.get("key")
-            if isinstance(key, str):
-                by_key[key] = data
-    return [by_key[key] for key in sorted(by_key)]
-
-
-# ----------------------------------------------------------------------
 # The campaign executor loop
 
 
@@ -929,6 +870,7 @@ def run_campaign_experiment(
     )
     from repro.experiments.executors import create_executor
     from repro.experiments.parallel import RunSpec
+    from repro.experiments.resilience import PlanJournal
 
     spec.validate()
     campaign = (spec.campaign or CampaignConfig()).validate()
@@ -983,5 +925,7 @@ def run_campaign_experiment(
             [outcome.result for outcome in _execute(draw_specs)]
         )
         if plan_path is not None:
-            _append_plan_record(plan_path, spec.name, draw)
+            PlanJournal(plan_path, CAMPAIGN_PLAN_KEY, spec.name).append(
+                draw.index, draw.plan_dict()
+            )
     return result

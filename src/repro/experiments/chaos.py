@@ -1,4 +1,4 @@
-"""Chaos harness for the resilient sweep executor.
+"""Chaos harness for the supervised sweep executor.
 
 Injects real worker faults -- hangs, aborts, SIGKILLs, allocation
 failures, raised exceptions, cache corruption -- into supervised sweeps
@@ -7,7 +7,7 @@ recovers: faulted runs are retried to bit-identical results, exhausted
 runs are quarantined without aborting the sweep, corrupted cache
 entries recompute, and an interrupted sweep resumes from its journal.
 
-Fault injection is *in-band*: the supervised child shim calls
+Fault injection is *in-band*: the supervised worker loop calls
 :func:`maybe_inject_fault` before running the spec, and the fault plan
 travels through the :data:`CHAOS_PLAN_ENV` environment variable (a path
 to a JSON plan file), so the injected failures exercise the exact
@@ -33,7 +33,9 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from contextlib import contextmanager
 
+from repro.experiments.executors import create_executor
 from repro.experiments.parallel import (
+    ProgressCallback,
     RunOutcome,
     RunSpec,
     _cache_path,
@@ -42,10 +44,8 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.resilience import (
     FailureKind,
-    ResilienceConfig,
-    RetryPolicy,
+    PlanJournal,
     SweepJournal,
-    execute_runs_resilient,
 )
 from repro.experiments.results import RunResult, aggregate_runs
 from repro.experiments.scenarios import SimulationScenarioConfig
@@ -137,7 +137,7 @@ def active_plan(plan: ChaosPlan, directory: str) -> Iterator[str]:
 def maybe_inject_fault(spec: RunSpec, attempt: int) -> None:
     """Apply the armed fault for this (spec, attempt), if any.
 
-    Called by the supervised child shim before the run starts.  No-op
+    Called by the supervised worker loop before the run starts.  No-op
     unless :data:`CHAOS_PLAN_ENV` names a readable plan file.
     """
     path = os.environ.get(CHAOS_PLAN_ENV)
@@ -187,7 +187,7 @@ def _victim_worker_main(root: str) -> None:
     """Phase-6 victim: a ``dir://`` worker fated to die holding a lease.
 
     Runs in its own session (``os.setsid``) so the harness can SIGKILL
-    the worker *and* its hung run child with one ``os.killpg`` -- the
+    the worker *and* its hung pool worker with one ``os.killpg`` -- the
     exact shape of a host dropping off the fleet.  No run timeout: the
     injected hang must pin the lease until the kill, not trip a
     supervisor timeout.
@@ -264,6 +264,22 @@ def _results(outcomes: Sequence[RunOutcome]) -> List[RunResult]:
     return [outcome.result for outcome in outcomes]
 
 
+def _sweep(
+    specs: Sequence[RunSpec],
+    jobs: int,
+    cache_dir: str,
+    journal_path: str,
+    progress: Optional[ProgressCallback] = None,
+    **knobs: object,
+) -> List[RunOutcome]:
+    """One journaled sweep through the local executor (the production
+    path: ``repro run`` builds the same executor)."""
+    executor = create_executor(
+        jobs=jobs, cache_dir=cache_dir, journal_path=journal_path, **knobs
+    )
+    return executor.execute(specs, progress=progress)
+
+
 def run_chaos(
     quick: bool = False,
     jobs: int = 2,
@@ -290,7 +306,7 @@ def run_chaos(
        leave a consistent journal, and a ``resume`` pass must replay
        completed runs and finish the rest, bit-identical to baseline.
     6. *distributed worker kill* -- a ``dir://`` worker SIGKILLed while
-       holding a lease (with its run child hung) must leave a lease
+       holding a lease (with its pool worker hung) must leave a lease
        that expires, gets reclaimed by a rescue worker, and the rescued
        sweep's results must be bit-identical to the baseline.
     7. *adaptive mid-batch kill* -- an adaptive sweep interrupted while
@@ -319,9 +335,8 @@ def run_chaos(
 
     # -- Phase 1: baseline ------------------------------------------------
     say(f"chaos: baseline sweep ({len(specs)} runs, jobs={jobs}) ...")
-    baseline = execute_runs_resilient(
-        specs, jobs=jobs, cache_dir=cache_dir,
-        journal_path=os.path.join(work_dir, "baseline.jsonl"),
+    baseline = _sweep(
+        specs, jobs, cache_dir, os.path.join(work_dir, "baseline.jsonl")
     )
     clean = all(outcome.result.error is None for outcome in baseline)
     report.add(
@@ -334,8 +349,6 @@ def run_chaos(
     # slowest observed clean run, so only injected hangs can trip it.
     slowest = max(outcome.elapsed_s for outcome in baseline)
     timeout_s = max(3.0, 5.0 * slowest)
-    retry = RetryPolicy(max_retries=2, backoff_base_s=0.05,
-                        backoff_max_s=0.2)
 
     # -- Phase 2: transient faults recover to identical results ----------
     faulted = {
@@ -352,12 +365,9 @@ def run_chaos(
     say(f"chaos: fault storm ({', '.join(sorted(set(faulted.values())))}) ...")
     journal_path = os.path.join(work_dir, "faulted.jsonl")
     with active_plan(plan, work_dir):
-        stormed = execute_runs_resilient(
-            specs, jobs=jobs, cache_dir=cache_dir,
-            resilience=ResilienceConfig(
-                run_timeout_s=timeout_s, retry=retry,
-            ),
-            journal_path=journal_path,
+        stormed = _sweep(
+            specs, jobs, cache_dir, journal_path,
+            run_timeout_s=timeout_s, max_retries=2,
         )
     recovered = all(outcome.result.error is None for outcome in stormed)
     report.add(
@@ -387,19 +397,15 @@ def run_chaos(
     # -- Phase 3: exhausted retries quarantine, sweep degrades gracefully
     victim = specs[0]
     say("chaos: quarantine (hang on every attempt) ...")
-    quarantine_retry = RetryPolicy(max_retries=1, backoff_base_s=0.05,
-                                   backoff_max_s=0.1)
     plan = ChaosPlan(faults=(
         ChaosFault(protocol=victim.protocol, seed=victim.seed,
                    action="hang", attempt=None),
     ))
     with active_plan(plan, work_dir):
-        degraded = execute_runs_resilient(
-            specs, jobs=jobs, cache_dir=cache_dir,
-            resilience=ResilienceConfig(
-                run_timeout_s=timeout_s, retry=quarantine_retry,
-            ),
-            journal_path=os.path.join(work_dir, "quarantine.jsonl"),
+        degraded = _sweep(
+            specs, jobs, cache_dir,
+            os.path.join(work_dir, "quarantine.jsonl"),
+            run_timeout_s=timeout_s, max_retries=1,
         )
     victim_outcome = next(
         o for o in degraded
@@ -451,9 +457,9 @@ def run_chaos(
     orphan = _cache_path(cache_dir, specs[0].cache_key()) + ".tmp.99999"
     with open(orphan, "w", encoding="utf-8") as handle:
         handle.write('{"half": "written')
-    rebuilt = execute_runs_resilient(
-        specs, jobs=jobs, use_cache=True, cache_dir=cache_dir,
-        journal_path=os.path.join(work_dir, "cache.jsonl"),
+    rebuilt = _sweep(
+        specs, jobs, cache_dir, os.path.join(work_dir, "cache.jsonl"),
+        use_cache=True,
     )
     cache_identical = _results(rebuilt) == _results(baseline)
     recomputed = not rebuilt[0].from_cache and rebuilt[0].result.error is None
@@ -481,9 +487,9 @@ def run_chaos(
 
     interrupted = False
     try:
-        execute_runs_resilient(
-            specs, jobs=1, cache_dir=cache_dir,
-            journal_path=resume_journal, progress=interrupt_after_first,
+        _sweep(
+            specs, 1, cache_dir, resume_journal,
+            progress=interrupt_after_first,
         )
     except KeyboardInterrupt:
         interrupted = True
@@ -498,10 +504,7 @@ def run_chaos(
         f"interrupted={interrupted}, {len(journaled)}/{len(specs)} "
         "run(s) journaled consistently",
     )
-    resumed = execute_runs_resilient(
-        specs, jobs=jobs, cache_dir=cache_dir,
-        journal_path=resume_journal, resume=True,
-    )
+    resumed = _sweep(specs, jobs, cache_dir, resume_journal, resume=True)
     replayed = [outcome for outcome in resumed if outcome.from_journal]
     resume_identical = _results(resumed) == _results(baseline)
     report.add(
@@ -528,7 +531,7 @@ def run_chaos(
     keys = [spec.cache_key() for spec in specs]
     victim_key = keys[0]
     # The victim's first claim is specs[0] (claims scan in sweep order);
-    # hang its run child so the lease stays held until the kill.  The
+    # hang its pool worker so the lease stays held until the kill.  The
     # hang bound is a backstop only -- the group kill lands first.
     plan = ChaosPlan(faults=(
         ChaosFault(protocol=specs[0].protocol, seed=specs[0].seed,
@@ -547,7 +550,7 @@ def run_chaos(
                 break
             time.sleep(0.05)
         lease_observed = os.path.exists(lease_file)
-        # Give the hung run child a beat to fork into the victim's
+        # Give the hung pool worker a beat to fork into the victim's
         # session, then kill the whole group -- worker and child die
         # together, heartbeats stop, the lease goes stale.
         time.sleep(0.75)
@@ -622,8 +625,8 @@ def run_chaos(
     # -- Phase 7: adaptive plan survives a mid-batch kill -----------------
     say("chaos: adaptive mid-batch interrupt + resume ...")
     from repro.experiments.adaptive import (
+        ADAPTIVE_PLAN_KEY,
         AdaptiveConfig,
-        replay_plan,
         run_adaptive_experiment,
     )
     from repro.experiments.spec import ExperimentSpec
@@ -633,8 +636,8 @@ def run_chaos(
         protocols=protocols,
         seeds=seeds,
         jobs=1,
-        # Engages the resilient executor: supervised workers + journal,
-        # so the interrupt below kills a real run child mid-batch.
+        # A run timeout engages the journal, so the interrupt below
+        # leaves a partial journal for the resume pass to replay.
         run_timeout_s=timeout_s,
         adaptive=AdaptiveConfig(
             target_half_width=0.25, batch_size=1, min_seeds=1, max_seeds=2,
@@ -682,7 +685,9 @@ def run_chaos(
         "resumed adaptive plan bit-identical to the clean plan"
         if plan_identical else "resumed adaptive plan diverged",
     )
-    journaled_plan = replay_plan(adaptive_journal, adaptive_spec.name)
+    journaled_plan = PlanJournal(
+        adaptive_journal, ADAPTIVE_PLAN_KEY, adaptive_spec.name
+    ).replay()
     plan_journaled = [
         {key: record[key] for key in
          ("batch", "seeds", "protocols", "decisions")}
@@ -702,8 +707,8 @@ def run_chaos(
     # -- Phase 8: campaign plan survives a mid-draw kill ------------------
     say("chaos: campaign mid-draw interrupt + resume ...")
     from repro.experiments.campaigns import (
+        CAMPAIGN_PLAN_KEY,
         CampaignConfig,
-        replay_campaign_plan,
         run_campaign_experiment,
     )
 
@@ -712,8 +717,8 @@ def run_chaos(
         protocols=protocols,
         seeds=seeds,
         jobs=1,
-        # Same trick as phase 7: the timeout engages the resilient
-        # executor, so the interrupt kills a real run child in flight.
+        # Same trick as phase 7: the timeout engages the journal the
+        # interrupted campaign resumes from.
         run_timeout_s=timeout_s,
         campaign=CampaignConfig(draws=2, master_seed=3),
         config=config,
@@ -759,9 +764,9 @@ def run_chaos(
         "resumed campaign plan and runs bit-identical to the clean run"
         if campaign_identical else "resumed campaign diverged",
     )
-    journaled_campaign = replay_campaign_plan(
-        campaign_journal, campaign_spec.name
-    )
+    journaled_campaign = PlanJournal(
+        campaign_journal, CAMPAIGN_PLAN_KEY, campaign_spec.name
+    ).replay()
     campaign_journaled = [
         {key: record[key] for key in
          ("draw", "generator", "theta", "weight", "faults")}

@@ -77,13 +77,13 @@ from repro.experiments.parallel import (
     sweep_stale_cache_tmps,
 )
 from repro.experiments.resilience import (
-    TRANSIENT_KINDS,
     FailureKind,
     JournalRecord,
+    RetryPolicy,
     SweepJournal,
     WorkerFn,
+    WorkerPool,
     classify_failure,
-    supervise_single_run,
 )
 from repro.experiments.results import (
     AggregateResult,
@@ -94,7 +94,7 @@ from repro.experiments.results import (
 #: Bump when the sweep.json layout changes incompatibly.
 SWEEP_MANIFEST_SCHEMA = 1
 
-#: Set in every worker (and inherited by run children): the claiming
+#: Set in every worker (and inherited by its pool worker): the claiming
 #: worker's id and the backend URI.  The telemetry exporter records
 #: both in run manifests, so a trace pins which host produced it.
 WORKER_ID_ENV = "REPRO_WORKER_ID"
@@ -128,7 +128,7 @@ class LeaseConfig:
     #: :class:`~repro.experiments.resilience.RetryPolicy.max_retries`):
     #: a run is dispatched at most ``max_retries + 1`` times fleet-wide.
     max_retries: int = 2
-    #: SIGTERM-to-SIGKILL grace when putting down a run child.
+    #: SIGTERM-to-SIGKILL grace when putting down the pool worker.
     kill_grace_s: float = 1.0
 
     def __post_init__(self) -> None:
@@ -452,10 +452,10 @@ class LeaseQueue:
 def record_is_final(record: JournalRecord, max_retries: int) -> bool:
     """Does this journal record settle its run, or is a retry owed?
 
-    Mirrors the resilient executor's policy: successes and
-    deterministic (non-transient) failures are final; transient
-    failures are final only once the fleet-wide dispatch count exceeds
-    the retry budget.
+    Successes are final; a failure is final unless the local
+    executor's :class:`~repro.experiments.resilience.RetryPolicy` would
+    re-dispatch it after the record's last attempt (``attempts`` counts
+    dispatches fleet-wide).
     """
     if record.ok:
         return True
@@ -468,9 +468,9 @@ def record_is_final(record: JournalRecord, max_retries: int) -> bool:
     if kind is None:
         error = (record.result or {}).get("error")
         kind = classify_failure(error) or FailureKind.EXCEPTION
-    if kind not in TRANSIENT_KINDS:
-        return True
-    return record.attempts > max_retries
+    return not RetryPolicy(max_retries=max_retries).should_retry(
+        kind, record.attempts - 1
+    )
 
 
 def _default_worker_id() -> str:
@@ -495,11 +495,13 @@ def drain_worker(
 
     The loop: scan the journal for non-final runs, claim one lease
     (reclaiming expired holders), serve it from the sharded cache or
-    execute it under single-run supervision (heartbeating the lease
-    from the poll hook), journal the outcome, release, repeat.  Exits
-    when every run is final -- or after ``max_runs`` executions, for
-    bounded smoke jobs.  On exit the worker snapshots its counters to
-    ``workers/<id>.json`` and writes a telemetry trace.
+    execute it on this drain's one supervised pool worker (heartbeating
+    the lease from the pool's poll hook), journal the outcome, release,
+    repeat.  The worker process persists across runs and is replaced
+    after a failure.  Exits when every run is final -- or after
+    ``max_runs`` executions, for bounded smoke jobs.  On exit the
+    worker snapshots its counters to ``workers/<id>.json`` and writes a
+    telemetry trace.
     """
     config = lease if lease is not None else LeaseConfig()
     sweep = SweepDir(os.path.abspath(root)).ensure()
@@ -529,6 +531,10 @@ def drain_worker(
     say(f"joined sweep: {len(specs)} run(s)")
 
     executed = 0
+    pool = WorkerPool(
+        worker_fn, 1, run_timeout_s=config.run_timeout_s,
+        kill_grace_s=config.kill_grace_s,
+    )
     try:
         while True:
             records = SweepJournal.replay(sweep.journal_path)
@@ -585,12 +591,9 @@ def drain_worker(
                 f"attempt={held.attempt}"
             )
             try:
-                result, elapsed, kind = supervise_single_run(
+                result, elapsed, kind = pool.run(
                     spec,
                     attempt=held.attempt,
-                    worker=worker_fn,
-                    run_timeout_s=config.run_timeout_s,
-                    kill_grace_s=config.kill_grace_s,
                     poll_interval_s=min(
                         0.05, config.heartbeat_interval_s
                     ),
@@ -625,6 +628,7 @@ def drain_worker(
                 say(f"stopping after {executed} run(s) (max-runs)")
                 break
     finally:
+        pool.close()
         stats.wall_time_s = time.monotonic() - started
         try:
             stats.save(os.path.join(sweep.workers_dir, f"{wid}.json"))

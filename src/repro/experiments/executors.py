@@ -12,8 +12,7 @@ directly.  An executor owns the full lifecycle of one sweep:
 ``collect(progress)``
     Drive the sweep to completion and return ordered
     :class:`~repro.experiments.parallel.RunOutcome` objects -- one per
-    spec, in spec order, exactly like the plain and resilient executors
-    always have.
+    spec, in spec order.
 ``abort()`` / ``close()``
     Tear down in-flight work / release resources.  Executors are
     context managers; :meth:`SweepExecutor.execute` is the one-call
@@ -22,11 +21,10 @@ directly.  An executor owns the full lifecycle of one sweep:
 Backends are addressed by URI:
 
 ``local-pool``
-    Today's in-process execution, verbatim: the plain
-    :func:`~repro.experiments.parallel.execute_runs_detailed` pool
-    when no resilience knob is set, the supervised
-    :func:`~repro.experiments.resilience.execute_runs_resilient`
-    otherwise.  Bit-identical to the pre-refactor call paths.
+    The supervised pool of persistent worker processes on this host
+    (:func:`~repro.experiments.resilience.execute_runs_resilient`):
+    crash containment, retries, and SIGINT draining on every sweep; a
+    journal whenever :func:`resolve_journal_path` names one.
 ``dir://<shared-dir>``
     The distributed backend (:mod:`repro.experiments.distributed`): a
     lease-based work queue over a shared directory that any number of
@@ -44,11 +42,11 @@ from repro.experiments.parallel import (
     ProgressCallback,
     RunOutcome,
     RunSpec,
-    execute_runs_detailed,
 )
 from repro.experiments.resilience import (
     ResilienceConfig,
     RetryPolicy,
+    SweepJournal,
     WorkerFn,
     _execute_spec,
     execute_runs_resilient,
@@ -101,6 +99,36 @@ def parse_backend(uri: Optional[str]) -> Backend:
     )
 
 
+def resolve_journal_path(
+    backend: Optional[object] = None,
+    *,
+    cache_dir: Optional[str] = None,
+    resume: bool = False,
+    journal_path: Optional[str] = None,
+    run_timeout_s: Optional[float] = None,
+    max_retries: Optional[int] = None,
+) -> Optional[str]:
+    """Where a sweep's journal lives, or ``None`` when it keeps none.
+
+    The shared ``dir://`` journal; else the explicit ``journal_path``;
+    else ``<cache_dir>/journal.jsonl`` when the sweep asks for resume,
+    a run timeout, or a retry budget.  Executors journal runs there and
+    the adaptive and campaign planners journal their plans there.
+    """
+    parsed = (
+        backend if isinstance(backend, Backend)
+        else parse_backend(backend if backend is None else str(backend))
+    )
+    if parsed.kind == DIR_KIND:
+        assert parsed.root is not None
+        return os.path.join(parsed.root, "journal.jsonl")
+    if journal_path is not None:
+        return journal_path
+    if resume or run_timeout_s is not None or max_retries is not None:
+        return SweepJournal.default_path(cache_dir)
+    return None
+
+
 class SweepExecutor:
     """Lifecycle protocol every sweep backend implements.
 
@@ -143,13 +171,14 @@ class SweepExecutor:
 
 
 class LocalPoolExecutor(SweepExecutor):
-    """The in-process backend: plain pool, or supervised when asked.
+    """The local backend: the supervised worker pool on this host.
 
-    ``resilience=None`` (and no journal/resume request) selects the
-    plain :func:`execute_runs_detailed` path -- no supervision
-    processes, no journal, exactly the historical fast path.  Setting
-    any of ``resilience``, ``journal_path``, or ``resume`` selects the
-    supervised :func:`execute_runs_resilient` path.
+    ``jobs`` worker processes (one per CPU for ``jobs<=0``) execute the
+    sweep under :func:`execute_runs_resilient`; ``resilience`` sets the
+    timeout and retry policy (default :class:`ResilienceConfig`).  Runs
+    are journaled to ``journal_path`` when one is given (or at the
+    cache dir's default path under ``resume``), and not at all
+    otherwise.
     """
 
     def __init__(
@@ -171,15 +200,6 @@ class LocalPoolExecutor(SweepExecutor):
         self.worker = worker
         self._specs: Optional[List[RunSpec]] = None
 
-    @property
-    def resilient(self) -> bool:
-        return (
-            self.resilience is not None
-            or self.journal_path is not None
-            or self.resume
-            or self.worker is not None
-        )
-
     def submit(self, specs: Sequence[RunSpec]) -> None:
         if self._specs is not None:
             raise RuntimeError("executor already has a submitted sweep")
@@ -190,24 +210,16 @@ class LocalPoolExecutor(SweepExecutor):
     ) -> List[RunOutcome]:
         if self._specs is None:
             raise RuntimeError("collect() before submit()")
-        if self.resilient:
-            return execute_runs_resilient(
-                self._specs,
-                jobs=self.jobs,
-                use_cache=self.use_cache,
-                cache_dir=self.cache_dir,
-                progress=progress,
-                resilience=self.resilience,
-                journal_path=self.journal_path,
-                resume=self.resume,
-                worker=self.worker or _execute_spec,
-            )
-        return execute_runs_detailed(
+        return execute_runs_resilient(
             self._specs,
             jobs=self.jobs,
             use_cache=self.use_cache,
             cache_dir=self.cache_dir,
             progress=progress,
+            resilience=self.resilience,
+            journal_path=self.journal_path,
+            resume=self.resume,
+            worker=self.worker or _execute_spec,
         )
 
 
@@ -227,10 +239,9 @@ def create_executor(
 ) -> SweepExecutor:
     """Build the executor for a backend URI (or parsed :class:`Backend`).
 
-    For ``local-pool`` the resilient path engages exactly when a
-    resilience knob (``run_timeout_s`` / ``max_retries`` / ``resume`` /
-    ``journal_path``) is set, preserving ``compare_protocols``'s
-    historical routing bit-for-bit.  ``workers`` and
+    For ``local-pool`` the sweep runs on the supervised pool with
+    ``run_timeout_s`` and ``max_retries`` (default budget when unset),
+    journaled where :func:`resolve_journal_path` says.  ``workers`` and
     ``lease_timeout_s`` only apply to ``dir://`` backends.
     """
     parsed = (
@@ -238,33 +249,27 @@ def create_executor(
         else parse_backend(backend if backend is None else str(backend))
     )
     if parsed.kind == LOCAL_POOL_KIND:
-        resilient = (
-            run_timeout_s is not None
-            or max_retries is not None
-            or resume
-            or journal_path is not None
-            or worker_fn is not None
+        retry = (
+            RetryPolicy(max_retries=max_retries)
+            if max_retries is not None else RetryPolicy()
         )
-        resilience = None
-        if resilient:
-            retry = (
-                RetryPolicy(max_retries=max_retries)
-                if max_retries is not None else RetryPolicy()
-            )
-            resilience = ResilienceConfig(
-                run_timeout_s=run_timeout_s, retry=retry
-            )
         return LocalPoolExecutor(
             jobs=jobs,
             use_cache=use_cache,
             cache_dir=cache_dir,
-            resilience=resilience,
-            journal_path=journal_path,
+            resilience=ResilienceConfig(
+                run_timeout_s=run_timeout_s, retry=retry
+            ),
+            journal_path=resolve_journal_path(
+                parsed, cache_dir=cache_dir, resume=resume,
+                journal_path=journal_path, run_timeout_s=run_timeout_s,
+                max_retries=max_retries,
+            ),
             resume=resume,
             worker=worker_fn,
         )
     # Imported lazily: distributed pulls in telemetry + manifest
-    # machinery the plain local path never needs.
+    # machinery the local pool never needs.
     from repro.experiments.distributed import DirExecutor, LeaseConfig
 
     lease_kwargs = {}

@@ -1,26 +1,29 @@
-"""Parallel experiment execution with an on-disk result cache.
+"""Run specs, the worker entry point, and the on-disk result cache.
 
 The paper's sweeps (6 protocol variants x 10 topology seeds, Section 4)
 are embarrassingly parallel: every run is fully determined by its
 ``(protocol, config, seed)`` triple and shares no state with any other
-run.  This module fans such run specs out across a
-:class:`concurrent.futures.ProcessPoolExecutor` -- the scenario is built
-*inside* the worker so only the small, picklable spec crosses the process
-boundary -- and collects results in submission order, so a parallel sweep
-returns the exact list the serial loop would.
+run.  This module defines that triple (:class:`RunSpec`, small and
+picklable, so the scenario is built *inside* a worker and only the spec
+crosses the process boundary), the worker entry point
+(:func:`_execute_spec`), and the result cache.  Sweeps execute on the
+supervised worker pool in :mod:`repro.experiments.resilience`, which
+collects results in spec order, so a parallel sweep returns the exact
+list a serial loop over :func:`_execute_spec` would.
 
 Determinism is inherited, not re-engineered: every RNG stream in a run is
 derived from the spec's seeds (see :mod:`repro.sim.rng`), so a run
-produces a bit-identical :class:`RunResult` whether it executes inline,
-in a pool worker, or is replayed from the cache.  ``benchmarks/
-bench_perf_engine.py`` and ``scripts/bench_check.py`` assert this.
+produces a bit-identical :class:`RunResult` whether it executes in the
+calling process, in a pool worker, or is replayed from the cache.
+:func:`verify_parallel_consistency` (behind ``scripts/bench_check.py``
+and the perfsmoke tier) asserts this.
 
-Failure containment: a worker that raises inside a run returns an
-*error-annotated* result (``RunResult.error`` holds the traceback and all
-measurements are zeroed) instead of killing the sweep; a worker process
-that dies outright (segfault, OOM kill) is caught via the broken-pool
-exception and annotated the same way.  :func:`repro.experiments.results.
-aggregate_runs` skips errored runs.
+Failure containment: a run that raises returns an *error-annotated*
+result (``RunResult.error`` holds the traceback and all measurements are
+zeroed) instead of killing the sweep; a worker process that dies outright
+(segfault, OOM kill) is classified by the pool and takes down only its
+own run.  :func:`repro.experiments.results.aggregate_runs` skips errored
+runs.
 
 Caching: results are stored one JSON file per run under ``cache_dir``,
 keyed by a SHA-256 over the canonicalized ``(protocol, config fields,
@@ -39,7 +42,6 @@ import json
 import os
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
@@ -104,11 +106,10 @@ class RunOutcome:
     result: RunResult
     elapsed_s: float
     from_cache: bool
-    #: How many times the run was dispatched (>1 only under the
-    #: resilient executor's retry policy).
+    #: How many times the run was dispatched (>1 only after a retry).
     attempts: int = 1
     #: Taxonomy classification when the run was quarantined by the
-    #: resilient executor; None for successes and plain-executor runs.
+    #: supervisor; None for successes and cache or journal replays.
     failure_kind: Optional["FailureKind"] = None
     #: True when the result was replayed from the sweep journal by a
     #: ``--resume`` pass instead of being executed or cache-loaded.
@@ -139,7 +140,8 @@ def _error_result(spec: RunSpec, error: str) -> RunResult:
 def _execute_spec(spec: RunSpec) -> tuple:
     """Worker entry point: build, run, and measure one scenario.
 
-    Runs inside the pool process (or inline for ``jobs=1``).  Exceptions
+    Runs inside a pool worker (or in the calling process for a
+    reference pass).  Exceptions
     are converted to error-annotated results here so a bad run reports
     itself instead of poisoning the whole sweep.  Returns
     ``(result, elapsed_s)``.
@@ -284,94 +286,6 @@ def sweep_stale_cache_tmps(cache_dir: str) -> int:
 # Sweep execution
 
 
-def execute_runs_detailed(
-    specs: Sequence[RunSpec],
-    jobs: Optional[int] = 1,
-    use_cache: bool = False,
-    cache_dir: Optional[str] = None,
-    progress: Optional[ProgressCallback] = None,
-) -> List[RunOutcome]:
-    """Execute run specs, possibly in parallel, returning ordered outcomes.
-
-    ``jobs=None`` or ``jobs<=0`` means one worker per CPU; ``jobs=1``
-    runs inline with no pool (and no pickling requirement on the config).
-    Results come back in ``specs`` order regardless of completion order.
-    """
-    if jobs is None or jobs <= 0:
-        jobs = os.cpu_count() or 1
-    directory = resolve_cache_dir(cache_dir)
-
-    outcomes: List[Optional[RunOutcome]] = [None] * len(specs)
-    misses: List[int] = []
-    for index, spec in enumerate(specs):
-        cached = cache_load(directory, spec) if use_cache else None
-        if cached is not None:
-            outcomes[index] = RunOutcome(spec, cached, 0.0, from_cache=True)
-        else:
-            misses.append(index)
-
-    if misses and jobs == 1:
-        for index in misses:
-            spec = specs[index]
-            if progress is not None:
-                progress(spec.protocol, spec.seed)
-            result, elapsed = _execute_spec(spec)
-            outcomes[index] = RunOutcome(spec, result, elapsed, False)
-            if use_cache:
-                cache_store(directory, spec, result)
-    elif misses:
-        pool = ProcessPoolExecutor(max_workers=min(jobs, len(misses)))
-        try:
-            futures = {
-                index: pool.submit(_execute_spec, specs[index])
-                for index in misses
-            }
-            for index, future in futures.items():
-                spec = specs[index]
-                try:
-                    result, elapsed = future.result()
-                except Exception:  # noqa: BLE001 - worker process died
-                    result, elapsed = _error_result(
-                        spec, traceback.format_exc()
-                    ), 0.0
-                if progress is not None:
-                    progress(spec.protocol, spec.seed)
-                outcomes[index] = RunOutcome(spec, result, elapsed, False)
-                if use_cache:
-                    cache_store(directory, spec, result)
-        except BaseException:
-            # KeyboardInterrupt (or anything else escaping the collection
-            # loop) must not orphan workers: cancel what never started and
-            # put down what did, then re-raise.
-            _abort_pool(pool)
-            raise
-        else:
-            pool.shutdown(wait=True)
-
-    return [outcome for outcome in outcomes if outcome is not None]
-
-
-def _abort_pool(pool: ProcessPoolExecutor) -> None:
-    """Emergency pool teardown: cancel pending futures, kill workers.
-
-    ``shutdown(cancel_futures=True)`` only prevents queued work from
-    starting; in-flight runs would otherwise keep simulating for
-    minutes after a Ctrl-C, so live worker processes are terminated
-    outright (runs are deterministic and restartable, so nothing of
-    value is lost).
-    """
-    pool.shutdown(wait=False, cancel_futures=True)
-    processes = list((getattr(pool, "_processes", None) or {}).values())
-    for proc in processes:
-        if proc.is_alive():
-            proc.terminate()
-    for proc in processes:
-        proc.join(2.0)
-        if proc.is_alive():
-            proc.kill()
-            proc.join(2.0)
-
-
 def execute_runs(
     specs: Sequence[RunSpec],
     jobs: Optional[int] = 1,
@@ -379,10 +293,17 @@ def execute_runs(
     cache_dir: Optional[str] = None,
     progress: Optional[ProgressCallback] = None,
 ) -> List[RunResult]:
-    """Like :func:`execute_runs_detailed` but returns bare results."""
+    """Run specs on the supervised pool; bare results in spec order.
+
+    Shorthand for :func:`~repro.experiments.resilience.
+    execute_runs_resilient` with no journal and the default retry
+    policy.
+    """
+    from repro.experiments.resilience import execute_runs_resilient
+
     return [
         outcome.result
-        for outcome in execute_runs_detailed(
+        for outcome in execute_runs_resilient(
             specs, jobs=jobs, use_cache=use_cache,
             cache_dir=cache_dir, progress=progress,
         )
@@ -413,13 +334,15 @@ def verify_parallel_consistency(
     jobs: int = 2,
     cache_dir: Optional[str] = None,
 ) -> List[str]:
-    """Run a sweep serially and in a pool; describe any divergence.
+    """Run a sweep in this process and in a pool; describe any divergence.
 
     Returns an empty list when every (protocol, seed) pair produced an
     identical :class:`RunResult` both ways -- the property the parallel
-    subsystem exists to preserve.  When ``cache_dir`` is given, a third
-    pass replays the sweep from the warm cache and is held to the same
-    standard.
+    subsystem exists to preserve.  The reference loops over
+    :func:`_execute_spec` in the calling process, so the pool is checked
+    against code that does not go through it.  When ``cache_dir`` is
+    given, a third pass replays the sweep from the warm cache and is
+    held to the same standard.
     """
     if config is None:
         config = SimulationScenarioConfig(
@@ -432,7 +355,7 @@ def verify_parallel_consistency(
             warmup_s=5.0,
         )
     specs = sweep_specs(config, protocols, topology_seeds)
-    serial = execute_runs(specs, jobs=1, use_cache=False)
+    serial = [_execute_spec(spec)[0] for spec in specs]
     pooled = execute_runs(specs, jobs=jobs, use_cache=cache_dir is not None,
                           cache_dir=cache_dir)
     passes: Dict[str, List[RunResult]] = {f"jobs={jobs}": pooled}

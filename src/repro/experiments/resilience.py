@@ -1,18 +1,21 @@
-"""Resilient sweep execution: supervision, retries, and a durable journal.
+"""Supervised sweep execution: one worker pool, retries, a durable journal.
 
-The plain executor (:mod:`repro.experiments.parallel`) assumes every run
-terminates and every worker survives.  At paper scale (hundreds of
-50-node runs, hours of wall time) that assumption fails in practice: a
-pathological topology can hang a run, the kernel OOM-killer can shoot a
-worker, and a Ctrl-C used to throw away everything computed so far.
-This module wraps the same picklable :class:`~repro.experiments.parallel.
-RunSpec` workers in a *supervisor* that makes sweeps survivable:
+Every local sweep runs here.  A pathological topology can hang a run,
+the kernel OOM-killer can shoot a worker, and a Ctrl-C must not throw
+away everything computed so far, so the picklable :class:`~repro.
+experiments.parallel.RunSpec` runs execute on a pool of *supervised*
+persistent workers (:class:`WorkerPool`):
 
-* **Per-run wall-clock timeouts**, enforced from the parent.  Each run
-  executes in its own child process; a run that exceeds
-  ``ResilienceConfig.run_timeout_s`` is terminated (SIGTERM, then
-  SIGKILL after a grace period) and the slot is re-dispatched -- the
-  pool can never silently hang on one stuck simulation.
+* **Persistent workers, fresh after a failure.**  Up to
+  ``min(jobs, len(specs))`` worker processes each receive
+  ``(spec, attempt)`` over a pipe and reply with ``(result,
+  elapsed_s)``.  A worker that dies, times out, or reports a failed run
+  is retired and replaced, so every retry starts in a fresh process
+  while healthy runs pay the process start once per worker.
+* **Per-run wall-clock timeouts**, enforced from the parent.  A run that
+  exceeds ``ResilienceConfig.run_timeout_s`` has its worker terminated
+  (SIGTERM, then SIGKILL after a grace period) -- the pool can never
+  silently hang on one stuck simulation.
 * **A structured failure taxonomy** (:class:`FailureKind`).  Every
   failure is classified -- ``TIMEOUT``, ``WORKER_CRASH`` (worker died
   with a signal / nonzero exit before reporting), ``OOM`` (SIGKILL or a
@@ -20,7 +23,7 @@ RunSpec` workers in a *supervisor* that makes sweeps survivable:
   ``EXCEPTION`` (any other in-run error) -- and the kind is recorded on
   the :class:`~repro.experiments.parallel.RunOutcome` and as a
   ``KIND:`` prefix on ``RunResult.error`` so it survives journaling and
-  aggregation.
+  aggregation.  A crashed worker takes down only its own run.
 * **Bounded retry with exponential backoff + deterministic jitter**
   (:class:`RetryPolicy`) for *transient* kinds (``TIMEOUT``,
   ``WORKER_CRASH``, ``OOM``).  Deterministic model failures
@@ -32,10 +35,14 @@ RunSpec` workers in a *supervisor* that makes sweeps survivable:
   (:mod:`repro.experiments.chaos`) asserts this.
 * **A durable sweep journal** (:class:`SweepJournal`): append-only JSONL
   under the cache dir, one fsync'd record per finished (or quarantined)
-  run keyed by ``RunSpec.cache_key()``.  ``repro run --resume`` replays
-  completed runs from the journal and re-dispatches only the failures.
+  run keyed by ``RunSpec.cache_key()``, written whenever the sweep has
+  a journal path (see :func:`~repro.experiments.executors.
+  resolve_journal_path`).  ``repro run --resume`` replays completed
+  runs from the journal and re-dispatches only the failures.  Planner
+  records (adaptive batches, campaign draws) share the file through
+  :class:`PlanJournal`.
 * **Graceful SIGINT/SIGTERM draining**: the first signal stops
-  dispatching, terminates active children, and leaves the journal
+  dispatching, terminates active workers, and leaves the journal
   consistent (records are written atomically per line), then raises
   ``KeyboardInterrupt``.  Re-running with ``--resume`` picks up where
   the sweep left off.
@@ -53,6 +60,7 @@ import hashlib
 import heapq
 import json
 import multiprocessing
+import multiprocessing.connection
 import os
 import signal
 import threading
@@ -65,20 +73,22 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
     Optional,
     Sequence,
     Tuple,
 )
 
+# The cache calls go through the module so wrappers installed on
+# ``parallel.cache_load`` / ``parallel.cache_store`` see every sweep.
+from repro.experiments import parallel
 from repro.experiments.parallel import (
     ProgressCallback,
     RunOutcome,
     RunSpec,
     _error_result,
     _execute_spec,
-    cache_load,
-    cache_store,
     resolve_cache_dir,
     sweep_stale_cache_tmps,
 )
@@ -94,7 +104,7 @@ ATTEMPT_ENV = "REPRO_RUN_ATTEMPT"
 
 #: A supervised worker: takes a spec, returns ``(result, elapsed_s)``.
 #: Exceptions it raises are converted to error-annotated results by the
-#: child shim, so custom workers (tests, chaos probes) can just raise.
+#: worker loop, so custom workers (tests, chaos probes) can just raise.
 WorkerFn = Callable[[RunSpec], Tuple[RunResult, float]]
 
 
@@ -105,7 +115,7 @@ class FailureKind(Enum):
     #: supervisor.  Transient (system load), so retryable.
     TIMEOUT = "timeout"
     #: Worker process died (signal or nonzero exit) before reporting a
-    #: result -- segfault, interpreter abort, pool breakage.  Retryable.
+    #: result -- segfault, interpreter abort.  Retryable.
     WORKER_CRASH = "worker_crash"
     #: Worker was SIGKILLed (the kernel OOM-killer's signature) or the
     #: run raised ``MemoryError``.  Retryable: memory pressure is a
@@ -129,10 +139,9 @@ def classify_failure(error: Optional[str]) -> Optional[FailureKind]:
     """Map a ``RunResult.error`` string to its :class:`FailureKind`.
 
     Supervisor-annotated errors carry a ``KIND:`` prefix and classify
-    exactly.  Legacy errors (raw tracebacks from the plain executor) are
-    sniffed: ``MemoryError`` means OOM, ``InvariantViolation`` means a
-    validation monitor fired, a broken-pool message means the worker
-    died, anything else is a plain exception.  ``None`` for a
+    exactly.  Raw tracebacks (as a worker reports them) are sniffed:
+    ``MemoryError`` means OOM, ``InvariantViolation`` means a validation
+    monitor fired, anything else is a plain exception.  ``None`` for a
     successful run.
     """
     if not error:
@@ -144,9 +153,24 @@ def classify_failure(error: Optional[str]) -> Optional[FailureKind]:
         return FailureKind.OOM
     if "InvariantViolation" in error:
         return FailureKind.INVARIANT
-    if "BrokenProcessPool" in error or "process pool" in error:
-        return FailureKind.WORKER_CRASH
     return FailureKind.EXCEPTION
+
+
+def classify_exit(exitcode: Optional[int]) -> Tuple[FailureKind, str]:
+    """Classify a worker that died before reporting, from its exit code.
+
+    SIGKILL is the kernel OOM-killer's signature; any other death is a
+    worker crash.  Returns the kind and a human-readable detail.
+    """
+    if exitcode == -int(signal.SIGKILL):
+        return FailureKind.OOM, (
+            "worker killed by SIGKILL before reporting a result "
+            "(likely the kernel OOM-killer)"
+        )
+    return FailureKind.WORKER_CRASH, (
+        f"worker process exited with code {exitcode} before reporting "
+        "a result"
+    )
 
 
 def _prefixed_error(kind: FailureKind, detail: str) -> str:
@@ -192,7 +216,7 @@ class ResilienceConfig:
     """Supervision knobs for one resilient sweep."""
 
     #: Per-run wall-clock budget; ``None`` disables the timeout (runs
-    #: are still isolated in their own process and crash-contained).
+    #: are still isolated in worker processes and crash-contained).
     run_timeout_s: Optional[float] = None
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     #: Seconds between SIGTERM and SIGKILL when putting down a worker.
@@ -355,28 +379,13 @@ class SweepJournal:
         Returns the number of lines dropped.  Call only when no other
         process is appending (clean sweep completion).
         """
-        try:
-            with open(path, "rb") as handle:
-                raw_lines = handle.readlines()
-        except OSError:
-            return 0
         survivors: Dict[str, bytes] = {}
         total = 0
-        for raw in raw_lines:
-            if not raw.strip():
-                continue
+        for raw, data in _journal_lines(path):
             total += 1
-            try:
-                data = json.loads(raw)
-            except ValueError:
-                continue  # torn / garbled line: drop
-            if not isinstance(data, dict):
-                continue
-            if data.get("schema") != JOURNAL_SCHEMA_VERSION:
-                continue
-            key = data.get("key")
+            key = data.get("key") if data is not None else None
             if not isinstance(key, str):
-                continue
+                continue  # damaged line: drop
             # Preserve first-seen order; a retry overwrites in place.
             survivors[key] = raw if raw.endswith(b"\n") else raw + b"\n"
         dropped = total - len(survivors)
@@ -417,80 +426,146 @@ class SweepJournal:
         the final line can be damaged, and its run simply re-executes.
         """
         records: Dict[str, JournalRecord] = {}
-        try:
-            handle = open(path, "r", encoding="utf-8")
-        except OSError:
-            return records
-        with handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    data = json.loads(line)
-                except ValueError:
-                    continue  # torn trailing write: re-run that spec
-                if not isinstance(data, dict):
-                    continue
-                if data.get("schema") != JOURNAL_SCHEMA_VERSION:
-                    continue
-                try:
-                    record = JournalRecord(
-                        key=data["key"],
-                        protocol=data["protocol"],
-                        seed=data["seed"],
-                        status=data["status"],
-                        attempts=data["attempts"],
-                        elapsed_s=data["elapsed_s"],
-                        failure_kind=data.get("failure_kind"),
-                        result=data["result"],
-                        worker=data.get("worker"),
-                        cached=bool(data.get("cached", False)),
-                    )
-                except KeyError:
-                    continue
-                records[record.key] = record
+        for _raw, data in _journal_lines(path):
+            if data is None:
+                continue  # torn trailing write: re-run that spec
+            try:
+                record = JournalRecord(
+                    key=data["key"],
+                    protocol=data["protocol"],
+                    seed=data["seed"],
+                    status=data["status"],
+                    attempts=data["attempts"],
+                    elapsed_s=data["elapsed_s"],
+                    failure_kind=data.get("failure_kind"),
+                    result=data["result"],
+                    worker=data.get("worker"),
+                    cached=bool(data.get("cached", False)),
+                )
+            except KeyError:
+                continue  # not a run record (e.g. a PlanJournal line)
+            records[record.key] = record
         return records
 
 
-# ----------------------------------------------------------------------
-# The supervised worker shim (runs in the child process)
+def _journal_lines(
+    path: str,
+) -> Iterator[Tuple[bytes, Optional[Dict[str, Any]]]]:
+    """Every non-blank journal line with its decoded record.
 
-
-def _child_main(
-    conn: Any, spec: RunSpec, attempt: int, worker: WorkerFn
-) -> None:
-    """Child entry: run one spec, send ``(result, elapsed_s)`` back.
-
-    Any exception the worker (or an injected chaos fault) raises is
-    converted to an error-annotated result here; a child that dies
-    before sending anything is classified by the parent from its exit
-    code.
+    The record is ``None`` for a line that is torn or garbled, not a
+    JSON object, or of another journal schema; a missing journal yields
+    nothing.  The one reader behind run replay, compaction, and plan
+    replay, so all three tolerate damage the same way.
     """
-    os.environ[ATTEMPT_ENV] = str(attempt)
+    try:
+        with open(path, "rb") as handle:
+            raw_lines = handle.readlines()
+    except OSError:
+        return
+    for raw in raw_lines:
+        if not raw.strip():
+            continue
+        try:
+            data = json.loads(raw)
+        except ValueError:
+            data = None
+        if not isinstance(data, dict) \
+                or data.get("schema") != JOURNAL_SCHEMA_VERSION:
+            data = None
+        yield raw, data
+
+
+class PlanJournal:
+    """A planner's per-step records, kept in a sweep journal.
+
+    The adaptive planner journals one record per batch and the fault
+    campaign one per draw, keyed ``<kind>:<name>:<index>``.  They share
+    the run journal's file and schema: :meth:`SweepJournal.replay`
+    skips them (they carry no run fields) and compaction keeps them
+    (their keys are unique).  :meth:`replay` returns this plan's
+    records in index order, last record per key winning, with the same
+    damage tolerance as run replay.
+    """
+
+    def __init__(self, path: str, kind: str, name: str) -> None:
+        self.path = path
+        self.kind = kind
+        self.name = name
+
+    def key(self, index: int) -> str:
+        return f"{self.kind}:{self.name}:{index:04d}"
+
+    def append(self, index: int, fields: Dict[str, Any]) -> None:
+        SweepJournal.append_record(self.path, {
+            "schema": JOURNAL_SCHEMA_VERSION,
+            "key": self.key(index),
+            "kind": self.kind,
+            "name": self.name,
+            **fields,
+        })
+
+    def replay(self) -> List[Dict[str, Any]]:
+        by_key: Dict[str, Dict[str, Any]] = {}
+        for _raw, data in _journal_lines(self.path):
+            if data is None or data.get("kind") != self.kind \
+                    or data.get("name") != self.name:
+                continue
+            key = data.get("key")
+            if isinstance(key, str):
+                by_key[key] = data
+        return [by_key[key] for key in sorted(by_key)]
+
+
+# ----------------------------------------------------------------------
+# The supervised worker pool
+
+
+def _worker_main(conn: Any, worker: WorkerFn) -> None:
+    """Worker process entry: run every ``(spec, attempt)`` it is sent.
+
+    Replies ``(result, elapsed_s)`` per run.  Any exception the worker
+    (or an injected chaos fault) raises is converted to an
+    error-annotated result here; a worker that dies mid-run is
+    classified by the parent from its exit code.  Exits on ``None`` or
+    when the parent's end of the pipe closes.
+    """
+    # The parent owns the signals: a terminal Ctrl-C reaches the whole
+    # process group, and the pool drains by putting its workers down.
+    # A forked worker also inherits the supervisor's SIGTERM handler;
+    # the default action is what lets SIGTERM stop it.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     try:
         import faulthandler
 
-        # A forked child inherits the parent's faulthandler (pytest
+        # A forked worker inherits the parent's faulthandler (pytest
         # enables one); an injected crash would dump the whole parent
         # test session's stacks. The parent classifies us from the exit
         # signal, so the dump is pure noise.
         faulthandler.disable()
     except Exception:  # noqa: BLE001 - best-effort hygiene only
         pass
-    try:
-        from repro.experiments.chaos import maybe_inject_fault
+    from repro.experiments.chaos import maybe_inject_fault
 
-        maybe_inject_fault(spec, attempt)
-        payload = worker(spec)
-    except BaseException:  # noqa: BLE001 - annotate anything, incl. chaos
-        payload = (_error_result(spec, traceback.format_exc()), 0.0)
-    try:
-        conn.send(payload)
-    except Exception:  # noqa: BLE001 - parent gone; nothing left to do
-        pass
-    finally:
-        conn.close()
+    while True:
+        try:
+            job = conn.recv()
+        except (EOFError, OSError):
+            return  # parent gone
+        if job is None:
+            return
+        spec, attempt = job
+        os.environ[ATTEMPT_ENV] = str(attempt)
+        try:
+            maybe_inject_fault(spec, attempt)
+            payload = worker(spec)
+        except BaseException:  # noqa: BLE001 - annotate anything, incl. chaos
+            payload = (_error_result(spec, traceback.format_exc()), 0.0)
+        try:
+            conn.send(payload)
+        except Exception:  # noqa: BLE001 - parent gone; nothing left to do
+            return
 
 
 def _put_down(proc: Any, grace_s: float) -> None:
@@ -504,111 +579,184 @@ def _put_down(proc: Any, grace_s: float) -> None:
 
 
 @dataclass
-class _Active:
-    """Bookkeeping for one in-flight supervised worker."""
+class _Slot:
+    """One worker process and the run it is executing, if any."""
 
     proc: Any
     conn: Any
-    index: int
-    attempt: int
-    started: float
-    deadline: Optional[float]
+    spec: Optional[RunSpec] = None
+    tag: Any = None
+    attempt: int = 0
+    started: float = 0.0
 
 
-def supervise_single_run(
-    spec: RunSpec,
-    attempt: int = 0,
-    worker: WorkerFn = _execute_spec,
-    run_timeout_s: Optional[float] = None,
-    kill_grace_s: float = 1.0,
-    poll_interval_s: float = 0.05,
-    on_poll: Optional[Callable[[], None]] = None,
-) -> Tuple[RunResult, float, Optional[FailureKind]]:
-    """Run one spec in its own supervised child; classify any failure.
+#: What :meth:`WorkerPool.wait` reports per finished run: the caller's
+#: tag, the attempt, the result, its elapsed seconds, and the failure
+#: kind (``None`` on success; failed results carry a ``KIND:`` prefix).
+Finished = Tuple[Any, int, RunResult, float, Optional[FailureKind]]
 
-    The single-run core of :func:`execute_runs_resilient`'s supervision
-    loop, reusable by executors that schedule one run at a time (the
-    ``dir://`` backend's lease workers).  The child is the same
-    :func:`_child_main` shim the pooled supervisor uses, so chaos
-    injection, the ``ATTEMPT_ENV`` contract, and crash containment are
-    identical.  ``on_poll`` is invoked once per poll tick while the run
-    is in flight -- the lease-heartbeat hook; if it raises, the child is
-    put down before the exception propagates.
 
-    Returns ``(result, elapsed_s, failure_kind)`` where the kind is
-    ``None`` on success; error results carry the usual ``KIND:``
-    prefix.  Retry policy is the *caller's* job.
+class WorkerPool:
+    """Up to ``size`` persistent worker processes, supervised.
+
+    :meth:`dispatch` hands a run to an idle worker (starting one when
+    fewer than ``size`` exist); :meth:`wait` collects finished runs,
+    classifies workers that died, and puts down runs past
+    ``run_timeout_s``.  A worker that died, timed out, or reported a
+    failed run is retired, so the next run -- a retry included -- starts
+    in a fresh process.  ``worker`` is handed over at process start.
     """
-    ctx = multiprocessing.get_context()
-    parent_conn, child_conn = ctx.Pipe(duplex=False)
-    proc = ctx.Process(
-        target=_child_main, args=(child_conn, spec, attempt, worker),
-        daemon=True,
-    )
-    started = time.monotonic()
-    proc.start()
-    child_conn.close()
-    deadline = (
-        started + run_timeout_s if run_timeout_s is not None else None
-    )
-    payload = None
-    timed_out = False
-    try:
-        while True:
-            if parent_conn.poll(poll_interval_s):
-                try:
-                    payload = parent_conn.recv()
-                except (EOFError, OSError):
-                    payload = None  # died before reporting
-                break
-            if on_poll is not None:
-                on_poll()
-            if deadline is not None and time.monotonic() >= deadline:
-                timed_out = True
-                break
-    finally:
+
+    def __init__(
+        self,
+        worker: WorkerFn,
+        size: int,
+        run_timeout_s: Optional[float] = None,
+        kill_grace_s: float = 1.0,
+    ) -> None:
+        self.worker = worker
+        self.size = size
+        self.run_timeout_s = run_timeout_s
+        self.kill_grace_s = kill_grace_s
+        self._ctx = multiprocessing.get_context()
+        self._slots: List[_Slot] = []
+
+    @property
+    def busy(self) -> int:
+        return sum(1 for slot in self._slots if slot.spec is not None)
+
+    def has_room(self) -> bool:
+        return self.busy < self.size
+
+    def dispatch(self, tag: Any, spec: RunSpec, attempt: int) -> None:
+        """Start ``spec`` on an idle worker (call only while
+        :meth:`has_room`); :meth:`wait` reports it."""
+        slot = next(
+            (slot for slot in self._slots if slot.spec is None), None
+        )
+        if slot is None:
+            slot = self._spawn()
+        slot.spec, slot.tag, slot.attempt = spec, tag, attempt
+        slot.started = time.monotonic()
         try:
-            parent_conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-        if timed_out or payload is None:
-            _put_down(proc, kill_grace_s)
-        proc.join(5.0)
-        if proc.is_alive():  # pragma: no cover - stuck post-send
-            _put_down(proc, kill_grace_s)
-    elapsed = time.monotonic() - started
-    if timed_out:
-        detail = (
-            f"run exceeded the {run_timeout_s:.1f}s wall-clock budget; "
-            "worker terminated by the supervisor"
+            slot.conn.send((spec, attempt))
+        except OSError:
+            pass  # worker already dead: wait() classifies its exit
+
+    def _spawn(self) -> _Slot:
+        parent_conn, child_conn = self._ctx.Pipe()
+        proc = self._ctx.Process(
+            target=_worker_main, args=(child_conn, self.worker),
+            daemon=True,
         )
-        kind = FailureKind.TIMEOUT
-        return _error_result(spec, _prefixed_error(kind, detail)), \
-            elapsed, kind
-    if payload is None:
-        code = proc.exitcode
-        if code == -int(signal.SIGKILL):
-            kind = FailureKind.OOM
-            detail = (
-                "worker killed by SIGKILL before reporting a result "
-                "(likely the kernel OOM-killer)"
+        proc.start()
+        child_conn.close()
+        slot = _Slot(proc=proc, conn=parent_conn)
+        self._slots.append(slot)
+        return slot
+
+    def _retire(self, slot: _Slot) -> None:
+        self._slots.remove(slot)
+        _put_down(slot.proc, self.kill_grace_s)
+        slot.conn.close()
+
+    def wait(self, timeout: float) -> List[Finished]:
+        """Collect runs finished within ``timeout`` seconds."""
+        busy = [slot for slot in self._slots if slot.spec is not None]
+        if not busy:
+            return []
+        ready = set(multiprocessing.connection.wait(
+            [slot.conn for slot in busy], timeout=timeout
+        ))
+        finished: List[Finished] = []
+        now = time.monotonic()
+        for slot in busy:
+            if slot.conn in ready:
+                finished.append(self._reap(slot))
+            elif (
+                self.run_timeout_s is not None
+                and now - slot.started >= self.run_timeout_s
+                and not slot.conn.poll()  # a result racing the deadline
+            ):
+                finished.append(self._fail(
+                    slot, FailureKind.TIMEOUT,
+                    f"run exceeded the {self.run_timeout_s:.1f}s "
+                    "wall-clock budget; worker terminated by the "
+                    "supervisor",
+                    now - slot.started,
+                ))
+        return finished
+
+    def _reap(self, slot: _Slot) -> Finished:
+        """One worker whose pipe became readable: a result or its EOF."""
+        try:
+            result, elapsed = slot.conn.recv()
+        except (EOFError, OSError):
+            slot.proc.join(5.0)  # died before reporting
+            kind, detail = classify_exit(slot.proc.exitcode)
+            return self._fail(
+                slot, kind, detail, time.monotonic() - slot.started
             )
-        else:
-            kind = FailureKind.WORKER_CRASH
-            detail = (
-                f"worker process exited with code {code} before "
-                "reporting a result"
-            )
-        return _error_result(spec, _prefixed_error(kind, detail)), \
-            elapsed, kind
-    result, run_elapsed = payload
-    if result.error is not None:
-        kind = classify_failure(result.error) or FailureKind.EXCEPTION
-        result = dataclasses.replace(
-            result, error=_prefixed_error(kind, result.error)
-        )
-        return result, run_elapsed, kind
-    return result, run_elapsed, None
+        if result.error is not None:
+            kind = classify_failure(result.error) or FailureKind.EXCEPTION
+            return self._fail(slot, kind, result.error, elapsed)
+        finished = (slot.tag, slot.attempt, result, elapsed, None)
+        slot.spec = slot.tag = None
+        return finished
+
+    def _fail(
+        self, slot: _Slot, kind: FailureKind, detail: str, elapsed: float
+    ) -> Finished:
+        assert slot.spec is not None
+        self._retire(slot)
+        result = _error_result(slot.spec, _prefixed_error(kind, detail))
+        return (slot.tag, slot.attempt, result, elapsed, kind)
+
+    def run(
+        self,
+        spec: RunSpec,
+        attempt: int = 0,
+        poll_interval_s: float = 0.05,
+        on_poll: Optional[Callable[[], None]] = None,
+    ) -> Tuple[RunResult, float, Optional[FailureKind]]:
+        """Execute one run and wait for it; returns ``(result,
+        elapsed_s, failure_kind)``.
+
+        ``on_poll`` runs once per poll tick while the run is in flight
+        (the ``dir://`` lease heartbeat); if it raises, the worker is
+        put down before the exception propagates.  Retry policy is the
+        caller's job.
+        """
+        self.dispatch(None, spec, attempt)
+        try:
+            while True:
+                for _tag, _attempt, result, elapsed, kind in self.wait(
+                    poll_interval_s
+                ):
+                    return result, elapsed, kind
+                if on_poll is not None:
+                    on_poll()
+        except BaseException:
+            self.abort()
+            raise
+
+    def abort(self) -> None:
+        """Put down every worker, idle or busy."""
+        for slot in list(self._slots):
+            self._retire(slot)
+
+    def close(self) -> None:
+        """Stop idle workers cleanly and put down busy ones."""
+        for slot in self._slots:
+            if slot.spec is None:
+                try:
+                    slot.conn.send(None)
+                except OSError:
+                    pass
+        for slot in self._slots:
+            if slot.spec is None:
+                slot.proc.join(self.kill_grace_s)
+        self.abort()
 
 
 # ----------------------------------------------------------------------
@@ -626,18 +774,22 @@ def execute_runs_resilient(
     resume: bool = False,
     worker: WorkerFn = _execute_spec,
 ) -> List[RunOutcome]:
-    """Execute run specs under supervision; returns ordered outcomes.
+    """Execute run specs on a supervised pool; returns ordered outcomes.
 
-    The resilient counterpart of :func:`~repro.experiments.parallel.
-    execute_runs_detailed`: every run gets its own child process (so a
-    crash or hang is isolated to that run), a wall-clock timeout
-    enforced from the parent, and bounded retry with backoff for
-    transient failures.  Finished runs -- including quarantined
-    failures -- are journaled; with ``resume=True`` previously
-    completed runs replay from the journal and only failures (and
-    never-started specs) are dispatched.
+    ``jobs=None`` or ``jobs<=0`` means one worker per CPU; ``jobs=1``
+    means one worker process.  Results come back in ``specs`` order
+    regardless of completion order.  A crash or hang is isolated to its
+    own run, a wall-clock timeout is enforced from the parent, and
+    transient failures retry with backoff (``resilience`` defaults to
+    :class:`ResilienceConfig`).
 
-    On SIGINT/SIGTERM the supervisor drains: active children are
+    Finished runs -- including quarantined failures -- are journaled
+    when ``journal_path`` is given, or at the cache dir's default path
+    when ``resume=True``; with ``resume=True`` previously completed
+    runs replay from the journal and only failures (and never-started
+    specs) are dispatched.  Without either, no journal is written.
+
+    On SIGINT/SIGTERM the supervisor drains: active workers are
     terminated, the journal stays consistent, and ``KeyboardInterrupt``
     is raised -- re-invoke with ``resume=True`` to continue.
 
@@ -649,9 +801,12 @@ def execute_runs_resilient(
         jobs = os.cpu_count() or 1
     config = resilience if resilience is not None else ResilienceConfig()
     directory = resolve_cache_dir(cache_dir)
-    sweep_stale_cache_tmps(directory)
-    path = journal_path or SweepJournal.default_path(directory)
-    replayed = SweepJournal.replay(path) if resume else {}
+    if use_cache:
+        sweep_stale_cache_tmps(directory)
+    path = journal_path
+    if path is None and resume:
+        path = SweepJournal.default_path(directory)
+    replayed = SweepJournal.replay(path) if resume and path else {}
 
     keys = [spec.cache_key() for spec in specs]
     outcomes: List[Optional[RunOutcome]] = [None] * len(specs)
@@ -667,7 +822,7 @@ def execute_runs_resilient(
                 )
                 continue
         if use_cache:
-            cached = cache_load(directory, spec)
+            cached = parallel.cache_load(directory, spec)
             if cached is not None:
                 outcomes[index] = RunOutcome(
                     spec, cached, 0.0, from_cache=True
@@ -678,9 +833,12 @@ def execute_runs_resilient(
     if not pending:
         return [outcome for outcome in outcomes if outcome is not None]
 
-    journal = SweepJournal(path)
-    ctx = multiprocessing.get_context()
-    active: List[_Active] = []
+    journal = SweepJournal(path) if path else None
+    pool = WorkerPool(
+        worker, min(jobs, len(pending)),
+        run_timeout_s=config.run_timeout_s,
+        kill_grace_s=config.kill_grace_s,
+    )
     delayed: List[Tuple[float, int, int]] = []  # (ready_at, index, attempt)
     stop: Dict[str, Optional[int]] = {"signal": None}
 
@@ -708,87 +866,26 @@ def execute_runs_resilient(
             spec, result, elapsed, from_cache=False,
             attempts=attempts, failure_kind=kind,
         )
-        journal.record(spec, result, attempts, elapsed, kind)
+        if journal is not None:
+            journal.record(spec, result, attempts, elapsed, kind)
         if use_cache and result.error is None:
-            cache_store(directory, spec, result)
+            parallel.cache_store(directory, spec, result)
         if progress is not None:
             progress(spec.protocol, spec.seed)
 
-    def _fail(
-        index: int, attempt: int, kind: FailureKind, detail: str,
-        elapsed: float,
-    ) -> None:
-        """Retry a transient failure with backoff, else quarantine."""
-        if config.retry.should_retry(kind, attempt):
-            delay = config.retry.backoff_s(keys[index], attempt)
-            heapq.heappush(
-                delayed, (time.monotonic() + delay, index, attempt + 1)
-            )
-            return
-        result = _error_result(specs[index], _prefixed_error(kind, detail))
-        _finalize(index, result, attempt + 1, elapsed, kind)
-
-    def _reap(entry: _Active) -> None:
-        """Handle one worker whose pipe became readable (result or EOF)."""
-        payload = None
-        try:
-            payload = entry.conn.recv()
-        except (EOFError, OSError):
-            payload = None  # died before reporting: classify from exit
-        entry.conn.close()
-        entry.proc.join(5.0)
-        if entry.proc.is_alive():  # pragma: no cover - stuck post-send
-            _put_down(entry.proc, config.kill_grace_s)
-        elapsed = time.monotonic() - entry.started
-        if payload is None:
-            code = entry.proc.exitcode
-            if code == -int(signal.SIGKILL):
-                kind = FailureKind.OOM
-                detail = (
-                    "worker killed by SIGKILL before reporting a result "
-                    "(likely the kernel OOM-killer)"
-                )
-            else:
-                kind = FailureKind.WORKER_CRASH
-                detail = (
-                    f"worker process exited with code {code} before "
-                    "reporting a result"
-                )
-            _fail(entry.index, entry.attempt, kind, detail, elapsed)
-            return
-        result, run_elapsed = payload
-        if result.error is not None:
-            kind = classify_failure(result.error) or FailureKind.EXCEPTION
-            _fail(entry.index, entry.attempt, kind, result.error, run_elapsed)
-            return
-        _finalize(entry.index, result, entry.attempt + 1, run_elapsed, None)
+    def _refill() -> None:
+        while pending and pool.has_room() and stop["signal"] is None:
+            index, attempt = pending.popleft()
+            pool.dispatch(index, specs[index], attempt)
 
     try:
-        while (pending or delayed or active) and stop["signal"] is None:
+        while (pending or delayed or pool.busy) and stop["signal"] is None:
             now = time.monotonic()
             while delayed and delayed[0][0] <= now:
                 _, index, attempt = heapq.heappop(delayed)
                 pending.append((index, attempt))
-            while pending and len(active) < jobs:
-                index, attempt = pending.popleft()
-                parent_conn, child_conn = ctx.Pipe(duplex=False)
-                proc = ctx.Process(
-                    target=_child_main,
-                    args=(child_conn, specs[index], attempt, worker),
-                    daemon=True,
-                )
-                proc.start()
-                child_conn.close()
-                deadline = (
-                    time.monotonic() + config.run_timeout_s
-                    if config.run_timeout_s is not None else None
-                )
-                active.append(_Active(
-                    proc=proc, conn=parent_conn, index=index,
-                    attempt=attempt, started=time.monotonic(),
-                    deadline=deadline,
-                ))
-            if not active:
+            _refill()
+            if not pool.busy:
                 # Everything is waiting out a backoff: sleep until the
                 # earliest becomes ready (in poll-sized slices so a
                 # signal still drains promptly).
@@ -798,54 +895,38 @@ def execute_runs_resilient(
                         max(0.0, delayed[0][0] - time.monotonic()),
                     ))
                 continue
-            ready = multiprocessing.connection.wait(
-                [entry.conn for entry in active],
-                timeout=config.poll_interval_s,
-            )
-            ready_set = set(ready)
-            for entry in list(active):
-                if entry.conn in ready_set:
-                    active.remove(entry)
-                    _reap(entry)
-            now = time.monotonic()
-            for entry in list(active):
-                if entry.deadline is None or now < entry.deadline:
-                    continue
-                if entry.conn.poll():
-                    continue  # result raced the deadline: reap next pass
-                active.remove(entry)
-                _put_down(entry.proc, config.kill_grace_s)
-                entry.conn.close()
-                _fail(
-                    entry.index, entry.attempt, FailureKind.TIMEOUT,
-                    (
-                        f"run exceeded the {config.run_timeout_s:.1f}s "
-                        "wall-clock budget; worker terminated by the "
-                        "supervisor"
-                    ),
-                    now - entry.started,
-                )
+            finished = pool.wait(config.poll_interval_s)
+            # Refill the freed workers before journaling and caching
+            # (fsyncs), so no worker idles on the parent's disk writes.
+            _refill()
+            for index, attempt, result, elapsed, kind in finished:
+                if kind is not None and config.retry.should_retry(
+                    kind, attempt
+                ):
+                    delay = config.retry.backoff_s(keys[index], attempt)
+                    heapq.heappush(
+                        delayed, (time.monotonic() + delay, index, attempt + 1)
+                    )
+                else:
+                    _finalize(index, result, attempt + 1, elapsed, kind)
     finally:
-        for entry in active:
-            _put_down(entry.proc, config.kill_grace_s)
-            try:
-                entry.conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
+        pool.close()
         if in_main:
             for signum, handler in previous_handlers.items():
                 signal.signal(signum, handler)
-        journal.close()
+        if journal is not None:
+            journal.close()
 
     if stop["signal"] is not None:
         done = sum(1 for outcome in outcomes if outcome is not None)
+        where = f"journaled to {path}" if path else "finished"
         raise KeyboardInterrupt(
             f"sweep interrupted by signal {stop['signal']}: {done}/"
-            f"{len(specs)} run(s) journaled to {path}; re-run with "
-            "resume to continue"
+            f"{len(specs)} run(s) {where}; re-run with resume to continue"
         )
-    # Clean completion: every spec has a surviving record, so superseded
-    # retry lines (and any torn line inherited from a crashed ancestor
-    # sweep) are dead weight -- drop them.
-    SweepJournal.compact(path)
+    if path:
+        # Clean completion: every spec has a surviving record, so
+        # superseded retry lines (and any torn line inherited from a
+        # crashed ancestor sweep) are dead weight -- drop them.
+        SweepJournal.compact(path)
     return [outcome for outcome in outcomes if outcome is not None]

@@ -75,7 +75,7 @@ def export_run_telemetry(
     }
     attempt = os.environ.get("REPRO_RUN_ATTEMPT")  # resilience.ATTEMPT_ENV
     if attempt is not None:
-        # Retry provenance under the resilient executor: attempt 0 is
+        # Retry provenance under the supervised pool: attempt 0 is
         # the first dispatch, >0 means this artifact came from a retry.
         try:
             extra["attempt"] = int(attempt)
@@ -83,7 +83,7 @@ def export_run_telemetry(
             pass
     # Fleet provenance under the dir:// backend: which worker executed
     # the run, against which shared sweep (distributed.WORKER_ID_ENV /
-    # BACKEND_ENV, inherited by the supervised run child).
+    # BACKEND_ENV, inherited by the drain's pool worker).
     worker_id = os.environ.get("REPRO_WORKER_ID")
     if worker_id:
         extra["worker_id"] = worker_id
@@ -178,26 +178,24 @@ def compare_protocols(
 
     Execution routes through the pluggable executor layer
     (:mod:`repro.experiments.executors`).  The default ``local-pool``
-    backend preserves the historical behavior exactly: ``jobs`` fans
-    the (protocol, seed) grid out across worker processes (``jobs<=0``
-    means one per CPU); every run is seed-deterministic, so the
-    returned list is identical to the serial one in both order and
-    content.  ``use_cache`` replays unchanged runs from the on-disk
-    result cache (see :mod:`repro.experiments.parallel` for the key and
-    its invalidation rule).
+    backend runs the (protocol, seed) grid on ``jobs`` supervised
+    worker processes (``jobs<=0`` means one per CPU, ``jobs=1`` one
+    worker; see :mod:`repro.experiments.resilience`); every run is
+    seed-deterministic, so the returned list is identical to a serial
+    loop in both order and content.  ``use_cache`` replays unchanged
+    runs from the on-disk result cache (see
+    :mod:`repro.experiments.parallel` for the key and its invalidation
+    rule).
 
-    Regardless of ``jobs``, a run that raises comes back as an
-    error-annotated :class:`RunResult` (``result.error`` holds the
-    traceback) rather than aborting the sweep; ``jobs=1`` runs inline
-    with no pool and no pickling requirement on the config.
-
-    Setting any of ``run_timeout_s`` / ``max_retries`` / ``resume`` /
-    ``journal_path`` selects the *resilient* local executor
-    (:mod:`repro.experiments.resilience`): every run gets its own
-    supervised worker process with a wall-clock timeout, transient
-    failures retry with backoff, finished runs are journaled, and
-    ``resume=True`` replays previously completed runs instead of
-    re-simulating them.
+    A run that raises comes back as an error-annotated
+    :class:`RunResult` (``result.error`` holds the traceback) rather
+    than aborting the sweep, and a worker that crashes takes down only
+    its own run, which is retried in a fresh worker (``max_retries``,
+    default 2) before it is quarantined.  ``run_timeout_s`` adds a
+    per-run wall-clock deadline.  Setting any of ``run_timeout_s`` /
+    ``max_retries`` / ``resume`` / ``journal_path`` also journals
+    finished runs, and ``resume=True`` replays previously completed
+    runs instead of re-simulating them.
 
     ``backend="dir://<shared-dir>"`` selects the distributed executor
     (:mod:`repro.experiments.distributed`): the sweep is published into
@@ -247,7 +245,7 @@ def run_experiment(
     :func:`compare_protocols` path as programmatic sweeps, so parallel
     fan-out, the result cache, and telemetry export all apply.  Specs
     that set ``run_timeout_s`` / ``max_retries`` -- or callers passing
-    ``resume=True`` -- execute under the resilient supervisor (see
+    ``resume=True`` -- also journal their runs (see
     :mod:`repro.experiments.resilience`).
 
     A spec with ``mobility_models`` runs the protocols x seeds grid once

@@ -1,10 +1,10 @@
 """Differential scenario fuzzing: random specs, one oracle, many paths.
 
 The determinism contract says a run is fully determined by its
-``(protocol, config, seed)`` triple -- whether it executes inline, in a
-pool worker, replayed from the cache, or with telemetry attached.  This
-module *hunts* for violations of that contract instead of asserting it
-on one hand-picked scenario:
+``(protocol, config, seed)`` triple -- whether it executes in the
+calling process, in a pool worker, replayed from the cache, or with
+telemetry attached.  This module *hunts* for violations of that
+contract instead of asserting it on one hand-picked scenario:
 
 * :func:`random_spec` draws a small random :class:`ExperimentSpec`
   (topology size, metric/protocol mix, seeds, fault schedules) from a
@@ -31,7 +31,8 @@ import random
 from typing import List, Optional, Sequence, Tuple
 
 from repro.experiments.faults import FaultPlan, FlappingSpec, OutageWindow
-from repro.experiments.parallel import execute_runs, sweep_specs
+from repro.experiments.executors import create_executor
+from repro.experiments.parallel import _execute_spec, sweep_specs
 from repro.experiments.results import RunResult
 from repro.experiments.runner import run_protocol
 from repro.experiments.scenarios import SimulationScenarioConfig
@@ -166,6 +167,16 @@ def _strip_telemetry_path(results: Sequence[RunResult]) -> List[RunResult]:
     ]
 
 
+def _pooled(
+    specs: Sequence, jobs: int, cache_dir: Optional[str] = None
+) -> List[RunResult]:
+    """The specs' results through the local supervised pool."""
+    executor = create_executor(
+        jobs=jobs, use_cache=cache_dir is not None, cache_dir=cache_dir
+    )
+    return [outcome.result for outcome in executor.execute(specs)]
+
+
 def differential_check(
     spec: ExperimentSpec,
     jobs: int = 2,
@@ -192,7 +203,7 @@ def differential_check(
     """
     spec.validate()
     specs = sweep_specs(spec.config, spec.protocols, spec.seeds)
-    baseline = execute_runs(specs, jobs=1, use_cache=False)
+    baseline = [_execute_spec(spec)[0] for spec in specs]
     errors = [
         f"baseline: run ({r.protocol}, seed {r.topology_seed}) "
         f"errored: {r.error.splitlines()[-1]}"
@@ -204,7 +215,7 @@ def differential_check(
         # passes would only echo the same traceback four more times.
         return errors
 
-    pooled = execute_runs(specs, jobs=jobs, use_cache=False)
+    pooled = _pooled(specs, jobs)
     divergence = _first_difference(f"jobs={jobs}", baseline, pooled)
     if divergence:
         errors.append(divergence)
@@ -241,15 +252,11 @@ def differential_check(
 
     if work_dir is not None:
         cache_dir = os.path.join(work_dir, "fuzz-cache")
-        cold = execute_runs(
-            specs, jobs=1, use_cache=True, cache_dir=cache_dir
-        )
+        cold = _pooled(specs, 1, cache_dir)
         divergence = _first_difference("cache-cold", baseline, cold)
         if divergence:
             errors.append(divergence)
-        warm = execute_runs(
-            specs, jobs=1, use_cache=True, cache_dir=cache_dir
-        )
+        warm = _pooled(specs, 1, cache_dir)
         divergence = _first_difference("cache-warm", baseline, warm)
         if divergence:
             errors.append(divergence)

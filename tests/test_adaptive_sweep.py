@@ -21,15 +21,15 @@ import pathlib
 import pytest
 
 from repro.experiments.adaptive import (
+    ADAPTIVE_PLAN_KEY,
     AdaptiveConfig,
     build_seed_pool,
     default_baseline,
     plan_journal_path,
-    replay_plan,
     run_adaptive_experiment,
 )
 from repro.experiments.report import adaptive_section, render_report
-from repro.experiments.resilience import SweepJournal
+from repro.experiments.resilience import PlanJournal, SweepJournal
 from repro.experiments.scenarios import SimulationScenarioConfig
 from repro.experiments.spec import ExperimentSpec, SpecError
 
@@ -222,6 +222,10 @@ class TestPlanner:
             for protocol in spec.protocols
         }
         assert not (seeds["odmrp"] & seeds["spp"])
+
+
+def replay_plan(path, name):
+    return PlanJournal(path, ADAPTIVE_PLAN_KEY, name).replay()
 
 
 class TestPlanJournal:

@@ -18,6 +18,7 @@ import random
 import pytest
 
 from repro.experiments.campaigns import (
+    CAMPAIGN_PLAN_KEY,
     CampaignConfig,
     CampaignDraw,
     CampaignResult,
@@ -28,7 +29,6 @@ from repro.experiments.campaigns import (
     draw_campaign,
     materialize_fault_plan,
     plan_digest,
-    replay_campaign_plan,
     run_campaign_experiment,
     severity_from_uniform,
 )
@@ -38,7 +38,7 @@ from repro.experiments.report import (
     render_report,
     robustness_section,
 )
-from repro.experiments.resilience import SweepJournal
+from repro.experiments.resilience import PlanJournal, SweepJournal
 from repro.experiments.results import RunResult
 from repro.experiments.scenarios import (
     SimulationScenarioConfig,
@@ -461,6 +461,10 @@ class TestCampaignExecution:
             curve = tiny_campaign.degradation_curve(protocol)
             lows = [row["downtime_low_s"] for row in curve]
             assert lows == sorted(lows)
+
+
+def replay_campaign_plan(path, name):
+    return PlanJournal(path, CAMPAIGN_PLAN_KEY, name).replay()
 
 
 class TestPlanJournal:

@@ -44,6 +44,7 @@ from repro.experiments.resilience import (
     ATTEMPT_ENV,
     FailureKind,
     JournalRecord,
+    RetryPolicy,
     SweepJournal,
 )
 from repro.experiments.results import RunResult
@@ -278,6 +279,21 @@ class TestRecordIsFinal:
         )
         assert not record_is_final(record, max_retries=1)
         assert record_is_final(record, max_retries=0)
+
+    @pytest.mark.parametrize("attempts", range(5))
+    @pytest.mark.parametrize("kind", list(FailureKind))
+    def test_agrees_with_the_local_retry_policy(self, kind, attempts):
+        """A failed record after ``attempts`` dispatches is final
+        exactly when the local executor would not re-dispatch the run
+        after its last (0-based ``attempts - 1``) attempt."""
+        record = self._record(
+            ok=False, attempts=attempts, failure_kind=kind.value
+        )
+        for max_retries in range(4):
+            policy = RetryPolicy(max_retries=max_retries)
+            assert record_is_final(record, max_retries) == (
+                not policy.should_retry(kind, attempts - 1)
+            )
 
 
 class TestSweepManifest:

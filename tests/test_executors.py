@@ -1,12 +1,11 @@
 """Tests for the pluggable sweep-executor layer.
 
 The contract under test: backend URIs parse predictably; the default
-``local-pool`` executor routes plain sweeps through the historical
-process pool and resilience-flagged sweeps through the supervisor,
-bit-identically to the pre-refactor call paths; and the executor
-lifecycle (submit once, collect after submit) fails loudly when
-misused.  The ``dir://`` backend's own machinery is covered in
-``test_distributed.py``.
+``local-pool`` executor runs every sweep on the supervised pool,
+bit-identically to the same runs in this process, and journals exactly
+when a resilience knob asks for it; and the executor lifecycle (submit
+once, collect after submit) fails loudly when misused.  The ``dir://``
+backend's own machinery is covered in ``test_distributed.py``.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from repro.experiments.executors import (
     create_executor,
     parse_backend,
 )
-from repro.experiments.parallel import RunSpec, execute_runs_detailed
+from repro.experiments.parallel import RunSpec, _execute_spec
 from repro.experiments.resilience import ResilienceConfig
 from repro.experiments.results import RunResult
 from repro.experiments.scenarios import SimulationScenarioConfig
@@ -82,9 +81,12 @@ class TestParseBackend:
 
 class TestCreateExecutorRouting:
     def test_default_is_plain_local_pool(self):
+        """No knob set: the supervised pool with the default retry
+        budget and no journal."""
         executor = create_executor(None, jobs=2)
         assert isinstance(executor, LocalPoolExecutor)
-        assert not executor.resilient
+        assert executor.journal_path is None
+        assert executor.resilience == ResilienceConfig()
         assert executor.jobs == 2
 
     def test_parsed_backend_object_is_accepted(self):
@@ -96,12 +98,18 @@ class TestCreateExecutorRouting:
         {"max_retries": 1},
         {"resume": True},
         {"journal_path": "j.jsonl"},
-        {"worker_fn": ok_worker},
     ])
     def test_any_resilience_knob_selects_the_supervisor(self, kwargs):
+        """Every sweep is supervised; a resilience knob also selects
+        the supervisor's journal."""
         executor = create_executor(None, **kwargs)
         assert isinstance(executor, LocalPoolExecutor)
-        assert executor.resilient
+        assert executor.journal_path is not None
+
+    def test_worker_hook_writes_no_journal(self):
+        executor = create_executor(None, worker_fn=ok_worker)
+        assert executor.worker is ok_worker
+        assert executor.journal_path is None
 
     def test_retry_budget_reaches_the_resilience_config(self):
         executor = create_executor(None, run_timeout_s=12.0, max_retries=5)
@@ -126,17 +134,17 @@ class TestCreateExecutorRouting:
 
 
 class TestLocalPoolExecutor:
-    def test_plain_path_matches_execute_runs_detailed(self):
+    def test_pool_matches_in_process_reference(self):
         tiny = SimulationScenarioConfig(
             num_nodes=6, area_width_m=400.0, area_height_m=400.0,
             num_groups=1, members_per_group=3, duration_s=4.0,
             warmup_s=1.0, topology_seed=1,
         )
         specs = [RunSpec("odmrp", tiny, 1)]
-        direct = execute_runs_detailed(specs, jobs=1)
+        direct = [_execute_spec(spec)[0] for spec in specs]
         with LocalPoolExecutor(jobs=1) as executor:
             routed = executor.execute(specs)
-        assert [o.result for o in routed] == [o.result for o in direct]
+        assert [o.result for o in routed] == direct
         assert routed[0].result.error is None
 
     def test_resilient_path_supervises(self, tmp_path):

@@ -1,9 +1,9 @@
 """Tests for the parallel experiment runner and its result cache.
 
 The contract under test: a (protocol, config, seed) triple produces an
-identical :class:`RunResult` whether executed inline, in a process pool,
-or replayed from the on-disk cache -- and a crashing run annotates
-itself instead of killing the sweep.
+identical :class:`RunResult` whether executed in the calling process, in
+the worker pool, or replayed from the on-disk cache -- and a crashing
+run annotates itself instead of killing the sweep.
 """
 
 from __future__ import annotations
@@ -13,15 +13,21 @@ from dataclasses import replace
 
 import pytest
 
+from repro.experiments.executors import create_executor
 from repro.experiments.parallel import (
     RunSpec,
+    _execute_spec,
     cache_load,
     cache_store,
     execute_runs,
-    execute_runs_detailed,
     sweep_specs,
     sweep_stale_cache_tmps,
     verify_parallel_consistency,
+)
+from repro.experiments.resilience import (
+    FailureKind,
+    WorkerPool,
+    execute_runs_resilient,
 )
 from repro.experiments.results import RunResult, aggregate_runs
 from repro.experiments.runner import compare_protocols
@@ -81,10 +87,10 @@ class TestDeterminismAcrossExecutionModes:
 
     def test_cached_pass_does_not_recompute(self, tmp_path):
         specs = sweep_specs(TINY, ("odmrp",), (1,))
-        first = execute_runs_detailed(specs, jobs=1, use_cache=True,
-                                      cache_dir=str(tmp_path))
-        second = execute_runs_detailed(specs, jobs=1, use_cache=True,
+        first = execute_runs_resilient(specs, jobs=1, use_cache=True,
                                        cache_dir=str(tmp_path))
+        second = execute_runs_resilient(specs, jobs=1, use_cache=True,
+                                        cache_dir=str(tmp_path))
         assert not first[0].from_cache
         assert second[0].from_cache
         assert first[0].result == second[0].result
@@ -111,7 +117,6 @@ class TestWorkerMemory:
         """A pool worker must not carry dead scenarios between runs:
         scenarios are reference cycles, so only the cyclic collector
         frees them, and ``_execute_spec`` runs it before returning."""
-        from repro.experiments.parallel import _execute_spec
         from repro.net.node import Node
 
         result, _elapsed = _execute_spec(RunSpec("spp", TINY, 1))
@@ -163,11 +168,11 @@ class TestFailureContainment:
 class TestCachePlumbing:
     def test_round_trip_preserves_every_field(self, tmp_path):
         spec = RunSpec("spp", TINY, 1)
-        [outcome] = execute_runs_detailed([spec], jobs=1)
-        cache_store(str(tmp_path), spec, outcome.result)
+        result, _elapsed = _execute_spec(spec)
+        cache_store(str(tmp_path), spec, result)
         loaded = cache_load(str(tmp_path), spec)
-        assert loaded == outcome.result
-        assert loaded.counters == outcome.result.counters
+        assert loaded == result
+        assert loaded.counters == result.counters
 
     def test_corrupt_cache_entry_is_a_miss_and_quarantined(self, tmp_path):
         spec = RunSpec("spp", TINY, 1)
@@ -246,43 +251,69 @@ def _tiny_result(spec: RunSpec) -> RunResult:
     )
 
 
+class TestCrashContainment:
+    """A worker that dies outright takes down only its own run."""
+
+    def test_crashing_worker_spares_the_rest_of_the_sweep(
+        self, monkeypatch
+    ):
+        import os
+
+        import repro.experiments.runner as runner_module
+
+        specs = sweep_specs(TINY, ("odmrp",), (1, 2, 3, 4, 5, 6))
+        reference = [_execute_spec(spec)[0] for spec in specs]
+        real_run_protocol = runner_module.run_protocol
+
+        def crash_on_seed_2(protocol, config):
+            if config.topology_seed == 2:
+                os._exit(1)
+            return real_run_protocol(protocol, config)
+
+        monkeypatch.setattr(runner_module, "run_protocol", crash_on_seed_2)
+        # The default route every sweep takes: no resilience option set.
+        outcomes = create_executor(None, jobs=2).execute(specs)
+        for spec, outcome, expected in zip(specs, outcomes, reference):
+            if spec.seed == 2:
+                assert outcome.result.error.startswith("WORKER_CRASH:")
+                assert outcome.failure_kind is FailureKind.WORKER_CRASH
+                assert outcome.attempts == 3  # default budget: 2 retries
+            else:
+                assert outcome.result == expected
+
+
 class TestInterruptedPoolShutdown:
     """Satellite: a KeyboardInterrupt escaping the collection loop must
-    cancel pending futures and put down live workers -- no orphaned
-    simulations grinding on after Ctrl-C."""
+    put down live workers -- no orphaned simulations grinding on after
+    Ctrl-C."""
 
     def test_keyboard_interrupt_terminates_pool_workers(
         self, monkeypatch
     ):
         import time
-        from concurrent.futures import ProcessPoolExecutor
-
-        import repro.experiments.parallel as parallel_module
 
         created = []
+        real_spawn = WorkerPool._spawn
 
-        class RecordingPool(ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                created.append(self)
+        def recording_spawn(pool):
+            slot = real_spawn(pool)
+            created.append(slot.proc)
+            return slot
 
-        monkeypatch.setattr(
-            parallel_module, "ProcessPoolExecutor", RecordingPool
-        )
+        monkeypatch.setattr(WorkerPool, "_spawn", recording_spawn)
 
         def interrupt_immediately(protocol: str, seed: int) -> None:
             raise KeyboardInterrupt
 
         specs = sweep_specs(TINY, ("odmrp",), (1, 2, 3, 4))
         with pytest.raises(KeyboardInterrupt):
-            execute_runs_detailed(
+            execute_runs_resilient(
                 specs, jobs=2, progress=interrupt_immediately
             )
-        [pool] = created
-        procs = list((getattr(pool, "_processes", None) or {}).values())
+        assert len(created) == 2
         deadline = time.monotonic() + 10.0
         while time.monotonic() < deadline and any(
-            proc.is_alive() for proc in procs
+            proc.is_alive() for proc in created
         ):
             time.sleep(0.05)
-        assert not any(proc.is_alive() for proc in procs)
+        assert not any(proc.is_alive() for proc in created)

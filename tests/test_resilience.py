@@ -31,6 +31,7 @@ from repro.experiments.resilience import (
     ResilienceConfig,
     RetryPolicy,
     SweepJournal,
+    classify_exit,
     classify_failure,
     execute_runs_resilient,
 )
@@ -132,15 +133,21 @@ class TestFailureClassification:
         kind = classify_failure("TIMEOUT: run exceeded the 5.0s budget")
         assert kind is FailureKind.TIMEOUT
 
-    def test_worker_crash_prefix_and_legacy_pool_text(self):
+    def test_worker_crash_prefix(self):
         assert classify_failure(
             "WORKER_CRASH: worker process exited with code -6"
         ) is FailureKind.WORKER_CRASH
-        legacy = (
-            "Traceback ...\nBrokenProcessPool: A process in the "
-            "process pool was terminated abruptly"
-        )
-        assert classify_failure(legacy) is FailureKind.WORKER_CRASH
+
+    @pytest.mark.parametrize("exitcode, kind", [
+        (-int(signal.SIGKILL), FailureKind.OOM),
+        (-int(signal.SIGABRT), FailureKind.WORKER_CRASH),
+        (1, FailureKind.WORKER_CRASH),
+        (None, FailureKind.WORKER_CRASH),
+    ])
+    def test_exit_code_classification(self, exitcode, kind):
+        found, detail = classify_exit(exitcode)
+        assert found is kind
+        assert detail
 
     def test_oom_from_prefix_and_from_traceback(self):
         assert classify_failure("OOM: worker killed by SIGKILL") \
